@@ -4,7 +4,8 @@ Reactions, basis matrices, equivalence, LP-driven reduction, residual
 reactions and realization from shift-stable cones.  A general PA is the
 five-tuple (X, Y, S, P, initial) stored as one n-by-n matrix per
 input/output pair, so the probability of reading u while emitting v is
-initial . A[u,v] . ones.
+initial . A[u,v] . ones.  The algorithms run in `kernel` on the stacked
+pair matrices with the all-ones final column.
 """
 from __future__ import annotations
 
@@ -13,19 +14,19 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
-from .dfa import Word, words_upto
+from . import kernel, linalg
+from .dfa import Word, words_of_length, words_upto
 from .tolerances import Tolerances, resolve
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
 class GeneralPA:
+    """A view of the kernel representation whose letters are the pairs (x, y).
+
+    The letter tensor stacks the pair matrices inputs-major, outputs-minor;
+    the final column is all ones.
+    """
+
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     trans: dict[tuple[str, str], np.ndarray]
@@ -34,12 +35,8 @@ class GeneralPA:
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(
-            self,
-            "trans",
-            MappingProxyType({k: _freeze(v) for k, v in self.trans.items()}),
-        )
-        object.__setattr__(self, "initial", _freeze(self.initial))
+        object.__setattr__(self, "trans", kernel.freeze_map(self.trans))
+        object.__setattr__(self, "initial", kernel.freeze(self.initial))
 
     @property
     def n_states(self) -> int:
@@ -50,6 +47,22 @@ class GeneralPA:
         if m is None:
             raise KeyError(f"unknown input/output pair ({x!r}, {y!r})")
         return m
+
+    @property
+    def _keys(self) -> tuple[tuple[str, str], ...]:
+        return tuple((x, y) for x in self.inputs for y in self.outputs)
+
+    @property
+    def _letters(self) -> np.ndarray:
+        return kernel.stack([self.matrix(x, y) for x, y in self._keys], self.n_states)
+
+    @property
+    def _final(self) -> np.ndarray:
+        return np.ones(self.n_states)
+
+    def _like(self, letters, initial, final=None) -> "GeneralPA":
+        """Same alphabets over new kernel arrays; the final column stays ones."""
+        return GeneralPA(self.inputs, self.outputs, dict(zip(self._keys, letters)), initial)
 
     def input_matrix(self, x: str) -> np.ndarray:
         """Sum over outputs: the stochastic matrix of the input letter."""
@@ -117,36 +130,18 @@ class ReactionTable:
         return self.values.get((u, v), 0.0)
 
     def pairs(self, length: int):
-        for u in _words_exact(self.inputs, length):
-            for v in _words_exact(self.outputs, length):
+        for u in words_of_length(self.inputs, length):
+            for v in words_of_length(self.outputs, length):
                 yield u, v
-
-
-def _words_exact(alphabet: tuple[str, ...], length: int):
-    if length == 0:
-        yield ()
-        return
-    for u in _words_exact(alphabet, length - 1):
-        for x in alphabet:
-            yield u + (x,)
 
 
 def reaction_table(a: GeneralPA, depth: int, xi: np.ndarray | None = None) -> ReactionTable:
     """Tabulate the reaction to the given depth, sharing prefix products."""
     row0 = a.initial if xi is None else np.asarray(xi, dtype=float)
-    values: dict[tuple[Word, Word], float] = {((), ()): float(row0.sum())}
-    frontier = [((), (), row0)]
-    for _ in range(depth):
-        nxt = []
-        for u, v, row in frontier:
-            for x in a.inputs:
-                for y in a.outputs:
-                    row2 = row @ a.matrix(x, y)
-                    u2, v2 = u + (x,), v + (y,)
-                    values[(u2, v2)] = float(row2.sum())
-                    nxt.append((u2, v2, row2))
-        frontier = nxt
-    return ReactionTable(a.inputs, a.outputs, depth, values)
+    values = kernel.prefix_values(row0, a._letters, a._final, depth)
+    # a word over the pair alphabet is the pair of its input and output words
+    pairs = (tuple(zip(*w)) or ((), ()) for w in words_upto(a._keys, depth))
+    return ReactionTable(a.inputs, a.outputs, depth, dict(zip(pairs, values.tolist())))
 
 
 def is_probabilistic_response(f: ReactionTable, tol: Tolerances | None = None) -> bool:
@@ -231,16 +226,9 @@ def residual_automaton(f: ReactionTable, tol: Tolerances | None = None) -> Gener
                     queue.append(match)
                 transitions[(i, x, y)] = (match, p)
     n = len(states)
-    trans = {}
-    for x in f.inputs:
-        for y in f.outputs:
-            m = np.zeros((n, n))
-            for i in range(n):
-                hit = transitions.get((i, x, y))
-                if hit is not None:
-                    j, p = hit
-                    m[i, j] = p
-            trans[(x, y)] = m
+    trans = {(x, y): np.zeros((n, n)) for x in f.inputs for y in f.outputs}
+    for (i, x, y), (j, p) in transitions.items():
+        trans[(x, y)][i, j] = p
     return GeneralPA(f.inputs, f.outputs, trans, linalg.point_distribution(n, 0))
 
 
@@ -251,32 +239,12 @@ def basis_matrix(a: GeneralPA, tol: Tolerances | None = None):
 
     Returns (matrix, tags): columns in breadth-first discovery order with
     lexicographic (input, output) symbol order, tags giving the (u, v) pair
-    of each column.  The sweep count never exceeds the state count.
+    of each column.  The columns are raw, not orthonormalized.
     """
-    t = resolve(tol)
-    n = a.n_states
-    span = linalg.Subspace(n, t)
-    ones = np.ones(n)
-    span.try_add(ones)
-    columns: list[np.ndarray] = [ones]
-    tags: list[tuple[Word, Word]] = [((), ())]
-    sweeps = 0
-    while True:
-        grew = False
-        snapshot = list(zip(columns, tags))
-        for col, (u, v) in snapshot:
-            for x in a.inputs:
-                for y in a.outputs:
-                    cand = a.matrix(x, y) @ col
-                    if span.try_add(cand):
-                        columns.append(cand)
-                        tags.append(((x,) + u, (y,) + v))
-                        grew = True
-        sweeps += 1
-        if not grew:
-            break
-        assert sweeps <= n, "basis sweeps exceeded the state count"
-    return np.column_stack(columns), tags
+    s = kernel.span(a._final, a._letters, resolve(tol))
+    keys = a._keys
+    tags = [(tuple(keys[k][0] for k in w), tuple(keys[k][1] for k in w)) for w in s.tags]
+    return np.column_stack(s.columns), tags
 
 
 def distributions_equivalent(
@@ -285,53 +253,28 @@ def distributions_equivalent(
     """xi1 and xi2 produce the same reaction iff they agree against the basis."""
     t = resolve(tol)
     basis, _ = basis_matrix(a, t)
-    diff = (np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)) @ basis
-    return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
+    return kernel.basis_agrees(basis, xi1, xi2, t)
 
 
 def disjoint_union(a1: GeneralPA, a2: GeneralPA) -> GeneralPA:
     if a1.inputs != a2.inputs or a1.outputs != a2.outputs:
         raise ValueError("alphabet mismatch")
-    n1, n2 = a1.n_states, a2.n_states
-    trans = {}
-    for x in a1.inputs:
-        for y in a1.outputs:
-            m = np.zeros((n1 + n2, n1 + n2))
-            m[:n1, :n1] = a1.matrix(x, y)
-            m[n1:, n1:] = a2.matrix(x, y)
-            trans[(x, y)] = m
-    init = np.concatenate([a1.initial, np.zeros(n2)])
-    return GeneralPA(a1.inputs, a1.outputs, trans, init)
+    init = np.concatenate([a1.initial, np.zeros(a2.n_states)])
+    return a1._like(kernel.block_union(a1._letters, a2._letters), init)
 
 
 def equivalent(a1: GeneralPA, a2: GeneralPA, tol: Tolerances | None = None) -> bool:
     """Equality of reactions, decided on the disjoint union's basis matrix."""
     union = disjoint_union(a1, a2)
-    xi1 = np.concatenate([a1.initial, np.zeros(a2.n_states)])
     xi2 = np.concatenate([np.zeros(a1.n_states), a2.initial])
-    return distributions_equivalent(union, xi1, xi2, tol)
+    return distributions_equivalent(union, union.initial, xi2, tol)
 
 
 # --- reduction ------------------------------------------------------------------
 
 def reachable_part(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
     """Restrict to states carrying initial mass or reachable through a nonzero entry."""
-    t = resolve(tol)
-    n = a.n_states
-    alive = {i for i in range(n) if a.initial[i] > t.zero}
-    changed = True
-    while changed:
-        changed = False
-        for (x, y), m in a.trans.items():
-            for i in list(alive):
-                for j in range(n):
-                    if j not in alive and m[i, j] > t.zero:
-                        alive.add(j)
-                        changed = True
-    order = sorted(alive)
-    idx = np.array(order, dtype=int)
-    trans = {k: m[np.ix_(idx, idx)] for k, m in a.trans.items()}
-    return GeneralPA(a.inputs, a.outputs, trans, a.initial[idx])
+    return a._like(*kernel.restrict_reachable(a._letters, a.initial, a._final, resolve(tol)))
 
 
 def find_convex_state(a: GeneralPA, tol: Tolerances | None = None):
@@ -344,11 +287,7 @@ def find_convex_state(a: GeneralPA, tol: Tolerances | None = None):
     if a.n_states < 2:
         return None
     basis, _ = basis_matrix(a, t)
-    for s in range(a.n_states - 1, -1, -1):
-        coeffs = linalg.convex_combination_certificate(basis, s, t)
-        if coeffs is not None:
-            return s, coeffs
-    return None
+    return kernel.convex_state(basis, t)
 
 
 def remove_convex_state(
@@ -361,21 +300,13 @@ def remove_convex_state(
     the now-unreachable last state is dropped.
     """
     t = resolve(tol)
-    n = a.n_states
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n - 1,):
-        raise ValueError("certificate has wrong length")
+    folded = kernel.fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
     basis, _ = basis_matrix(a, t)
-    others = [i for i in range(n) if i != s]
-    residual_err = linalg.norm_abs(basis[s] - coeffs @ basis[others])
+    others = np.delete(np.arange(a.n_states), s)
+    residual_err = linalg.norm_abs(basis[s] - np.asarray(coeffs, dtype=float) @ basis[others])
     if residual_err > max(t.lp * 100.0, 1e-8) * max(1.0, linalg.norm_abs(basis)):
         raise ValueError("certificate does not reproduce the basis row")
-    trans = {}
-    for key, m in a.trans.items():
-        folded = m[np.ix_(others, others)] + np.outer(m[others, s], coeffs)
-        trans[key] = folded
-    init = a.initial[others] + a.initial[s] * coeffs
-    return GeneralPA(a.inputs, a.outputs, trans, init)
+    return a._like(*folded)
 
 
 def reduce(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
@@ -409,11 +340,7 @@ class ConeSpec:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
         object.__setattr__(self, "initial", tuple(float(v) for v in self.initial))
-        object.__setattr__(
-            self,
-            "shifts",
-            MappingProxyType({k: _freeze(v) for k, v in self.shifts.items()}),
-        )
+        object.__setattr__(self, "shifts", kernel.freeze_map(self.shifts))
 
     def validate(self, tol: Tolerances | None = None) -> "ConeSpec":
         t = resolve(tol)
@@ -442,10 +369,3 @@ def pa_from_cone(cone: ConeSpec, tol: Tolerances | None = None) -> GeneralPA:
     outputs = cone.members[0].outputs
     trans = {(x, y): np.array(cone.shifts[(x, y)]) for x in inputs for y in outputs}
     return GeneralPA(inputs, outputs, trans, np.asarray(cone.initial)).validate(tol)
-
-
-def enumerate_pairs(inputs, outputs, max_len: int):
-    """(u, v) pairs with |u| = |v| <= max_len, in shortlex order."""
-    for u in words_upto(tuple(inputs), max_len):
-        for v in _words_exact(tuple(outputs), len(u)):
-            yield u, v

@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
+from . import kernel, linalg
 from .dfa import Dfa, Word, dfa_minimize, words_of_length, words_upto
 from .generalpa import GeneralPA
 from .moorepa import MoorePA, avg_reaction, avg_reaction_table
@@ -31,7 +31,7 @@ def enumerate_members(a: MoorePA, cutpoint: float, max_len: int) -> list[Word]:
     if not 0.0 <= cutpoint < 1.0:
         raise ValueError("cut point must lie in [0, 1)")
     table = avg_reaction_table(a, max_len)
-    return [u for u in words_upto(a.inputs, max_len) if table[u] > cutpoint]
+    return [u for u, val in table.items() if val > cutpoint]
 
 
 # --- cut-point constructions ---------------------------------------------------
@@ -42,15 +42,10 @@ def fold_initial(a: MoorePA, cutpoint: float = 0.0) -> MoorePA:
     One fresh state carries the old initial distribution in its outgoing
     rows; the reaction is preserved on every word, so any cut language is.
     """
-    n = a.n_states
-    trans = {}
-    for x in a.inputs:
-        m = np.zeros((n + 1, n + 1))
-        m[0, 1:] = a.initial @ a.matrix(x)
-        m[1:, 1:] = a.matrix(x)
-        trans[x] = m
+    letters = kernel.block_union(np.zeros((len(a.inputs), 1, 1)), a._letters)
+    letters[:, 0, 1:] = a.initial @ a._letters
     lam = np.concatenate([[float(a.initial @ a.lam)], a.lam])
-    return MoorePA(a.inputs, trans, linalg.point_distribution(n + 1, 0), lam)
+    return a._like(letters, linalg.point_distribution(a.n_states + 1, 0), lam)
 
 
 def binarize_output(a: MoorePA, cutpoint: float = 0.0) -> MoorePA:
@@ -64,23 +59,11 @@ def binarize_output(a: MoorePA, cutpoint: float = 0.0) -> MoorePA:
     lam = a.lam
     if lam.min() < 0.0 or lam.max() > 1.0:
         raise ValueError("output column must lie in [0, 1]")
-    n = a.n_states
-    trans = {}
-    for x in a.inputs:
-        m = a.matrix(x)
-        big = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            col = m[:, j]
-            for copy in (0, 1):
-                big[2 * np.arange(n) + copy, 2 * j] = lam[j] * col
-                big[2 * np.arange(n) + copy, 2 * j + 1] = (1.0 - lam[j]) * col
-        trans[x] = big
-    init = np.zeros(2 * n)
-    init[0::2] = a.initial * lam
-    init[1::2] = a.initial * (1.0 - lam)
-    lam_b = np.zeros(2 * n)
-    lam_b[0::2] = 1.0
-    return MoorePA(a.inputs, trans, init, lam_b)
+    # copy 2j + c of state j is entered with weight lam_j (c = 0) or 1 - lam_j (c = 1)
+    split = np.stack([lam, 1.0 - lam], axis=1).ravel()
+    letters = a._letters.repeat(2, axis=1).repeat(2, axis=2) * split
+    lam_b = np.tile([1.0, 0.0], a.n_states)
+    return a._like(letters, a.initial.repeat(2) * split, lam_b)
 
 
 def shift_cutpoint(a: MoorePA, old: float, new: float) -> MoorePA:
@@ -94,33 +77,18 @@ def shift_cutpoint(a: MoorePA, old: float, new: float) -> MoorePA:
         raise ValueError("cut points must lie in [0, 1)")
     if new == old:
         return a
-    n = a.n_states
     if new < old:
         if old == 0.0:
             raise ValueError("cannot scale a zero cut point down")
         alpha = new / old
-        trans = {}
-        for x in a.inputs:
-            m = a.matrix(x)
-            big = np.zeros((2 * n, 2 * n))
-            big[:n, :n] = alpha * m
-            big[:n, n:] = (1.0 - alpha) * m
-            big[n:, :n] = alpha * m
-            big[n:, n:] = (1.0 - alpha) * m
-            trans[x] = big
+        mix = np.array([[alpha, 1.0 - alpha], [alpha, 1.0 - alpha]])
         init = np.concatenate([alpha * a.initial, (1.0 - alpha) * a.initial])
-        lam = np.concatenate([a.lam, np.zeros(n)])
-        return MoorePA(a.inputs, trans, init, lam)
+        lam = np.concatenate([a.lam, np.zeros(a.n_states)])
+        return a._like(np.kron(mix, a._letters), init, lam)
     alpha = (new - old) / (1.0 - old)
-    trans = {}
-    for x in a.inputs:
-        big = np.zeros((n + 1, n + 1))
-        big[0, 0] = 1.0
-        big[1:, 1:] = a.matrix(x)
-        trans[x] = big
+    letters = kernel.block_union(np.ones((len(a.inputs), 1, 1)), a._letters)
     init = np.concatenate([[alpha], (1.0 - alpha) * a.initial])
-    lam = np.concatenate([[1.0], a.lam])
-    return MoorePA(a.inputs, trans, init, lam)
+    return a._like(letters, init, np.concatenate([[1.0], a.lam]))
 
 
 def general_language_pa(a: GeneralPA, y: str) -> MoorePA:
@@ -132,18 +100,11 @@ def general_language_pa(a: GeneralPA, y: str) -> MoorePA:
     if y not in a.outputs:
         raise KeyError(f"unknown output symbol {y!r}")
     n = a.n_states
+    zero = np.zeros((n, n))
     trans = {}
     for x in a.inputs:
-        rest = sum(a.matrix(x, y2) for y2 in a.outputs if y2 != y)
-        if isinstance(rest, int):
-            rest = np.zeros((n, n))
-        hit = a.matrix(x, y)
-        big = np.zeros((2 * n, 2 * n))
-        big[:n, :n] = rest
-        big[:n, n:] = hit
-        big[n:, :n] = rest
-        big[n:, n:] = hit
-        trans[x] = big
+        rest = sum((a.matrix(x, y2) for y2 in a.outputs if y2 != y), zero)
+        trans[x] = np.tile(np.hstack([rest, a.matrix(x, y)]), (2, 1))  # [[rest, hit], [rest, hit]]
     init = np.concatenate([a.initial, np.zeros(n)])
     lam = np.concatenate([np.zeros(n), np.ones(n)])
     return MoorePA(a.inputs, trans, init, lam)
@@ -178,9 +139,9 @@ def isolation_scan(a: MoorePA, cutpoint: float, delta: float, max_len: int) -> I
         raise ValueError("delta must be positive")
     table = avg_reaction_table(a, max_len)
     guard = delta * (1.0 - 1e-9)
-    for u in words_upto(a.inputs, max_len):
-        if abs(table[u] - cutpoint) < guard:
-            return IsolationReport("refuted", delta, max_len, u, table[u])
+    for u, val in table.items():
+        if abs(val - cutpoint) < guard:
+            return IsolationReport("refuted", delta, max_len, u, val)
     return IsolationReport("clear", delta, max_len)
 
 

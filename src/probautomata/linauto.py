@@ -4,7 +4,8 @@ Evaluation, the block operation algebra (sum, product, convolution, scaling,
 reversal, iteration), the convolution ring on finite tables with inverse and
 iteration, Hankel-matrix minimal realization, reachability/distinguishability
 degrees, state elimination to rational expressions, and the two embeddings
-into probabilistic automata.
+into probabilistic automata.  Tabulation, Krylov spans and the block sum
+run in `kernel`, with lam as the final column.
 """
 from __future__ import annotations
 
@@ -13,48 +14,23 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
+from . import kernel, linalg
 from .dfa import Dfa, Word, words_of_length, words_upto
-from .moorepa import MoorePA
+from .moorepa import MoorePA, dfa_to_pa
 from .tolerances import Tolerances, resolve
 
 
-def _freeze(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class LinearAutomaton:
-    inputs: tuple[str, ...]
-    trans: dict[str, np.ndarray]
-    initial: np.ndarray
-    lam: np.ndarray
+class LinearAutomaton(kernel.LetterAutomaton):
+    """A view of the kernel representation over arbitrary real weights.
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(
-            self, "trans", MappingProxyType({x: _freeze(m) for x, m in self.trans.items()})
-        )
-        object.__setattr__(self, "initial", _freeze(self.initial))
-        object.__setattr__(self, "lam", _freeze(np.ravel(self.lam)))
+    One matrix per input letter, an initial row and an output column lam
+    (the final column); validation only checks shapes and finiteness.
+    """
 
     @property
     def dim(self) -> int:
         return self.initial.size
-
-    def matrix(self, x: str) -> np.ndarray:
-        m = self.trans.get(x)
-        if m is None:
-            raise KeyError(f"unknown input symbol {x!r}")
-        return m
-
-    def word_matrix(self, u: Word) -> np.ndarray:
-        out = np.eye(self.dim)
-        for x in u:
-            out = out @ self.matrix(x)
-        return out
 
     def validate(self) -> "LinearAutomaton":
         n = self.dim
@@ -79,17 +55,8 @@ def la_reaction(l: LinearAutomaton, u: Word, xi: np.ndarray | None = None) -> fl
 
 def la_table(l: LinearAutomaton, depth: int) -> "StringFunctionTable":
     """Tabulate the reaction to the given depth, sharing prefix products."""
-    values = {(): float(l.initial @ l.lam)}
-    frontier: list[tuple[Word, np.ndarray]] = [((), l.initial)]
-    for _ in range(depth):
-        nxt = []
-        for u, row in frontier:
-            for x in l.inputs:
-                row2 = row @ l.matrix(x)
-                values[u + (x,)] = float(row2 @ l.lam)
-                nxt.append((u + (x,), row2))
-        frontier = nxt
-    return StringFunctionTable(l.inputs, depth, values)
+    values = kernel.prefix_values(l.initial, l._letters, l.lam, depth).tolist()
+    return StringFunctionTable(l.inputs, depth, dict(zip(words_upto(l.inputs, depth), values)))
 
 
 # --- string-function tables and their ring ------------------------------------
@@ -192,15 +159,8 @@ def chi_word(alphabet, word: Word, depth: int) -> StringFunctionTable:
 def la_sum(l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:
     if l1.inputs != l2.inputs:
         raise ValueError("alphabet mismatch")
-    n1, n2 = l1.dim, l2.dim
-    trans = {}
-    for x in l1.inputs:
-        m = np.zeros((n1 + n2, n1 + n2))
-        m[:n1, :n1] = l1.matrix(x)
-        m[n1:, n1:] = l2.matrix(x)
-        trans[x] = m
-    return LinearAutomaton(
-        l1.inputs, trans,
+    return l1._like(
+        kernel.block_union(l1._letters, l2._letters),
         np.concatenate([l1.initial, l2.initial]),
         np.concatenate([l1.lam, l2.lam]),
     )
@@ -222,17 +182,12 @@ def la_convolution(l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:
     """Cauchy product: upper-triangular blocks glued by M = lam1 . xi2."""
     if l1.inputs != l2.inputs:
         raise ValueError("alphabet mismatch")
-    n1, n2 = l1.dim, l2.dim
+    n1 = l1.dim
     m = np.outer(l1.lam, l2.initial)
-    trans = {}
-    for x in l1.inputs:
-        blk = np.zeros((n1 + n2, n1 + n2))
-        blk[:n1, :n1] = l1.matrix(x)
-        blk[:n1, n1:] = l1.matrix(x) @ m
-        blk[n1:, n1:] = l2.matrix(x)
-        trans[x] = blk
-    return LinearAutomaton(
-        l1.inputs, trans,
+    letters = kernel.block_union(l1._letters, l2._letters)
+    letters[:, :n1, n1:] = l1._letters @ m
+    return l1._like(
+        letters,
         np.concatenate([l1.initial, l1.initial @ m]),
         np.concatenate([np.zeros(n1), l2.lam]),
     )
@@ -250,9 +205,7 @@ def la_scale(a: float, l: LinearAutomaton) -> LinearAutomaton:
 
 
 def la_reverse(l: LinearAutomaton) -> LinearAutomaton:
-    return LinearAutomaton(
-        l.inputs, {x: l.matrix(x).T for x in l.inputs}, l.lam, l.initial
-    )
+    return l._like(l._letters.transpose(0, 2, 1), l.lam, l.initial)
 
 
 def la_iterate(l: LinearAutomaton, tol: Tolerances | None = None) -> LinearAutomaton:
@@ -261,9 +214,7 @@ def la_iterate(l: LinearAutomaton, tol: Tolerances | None = None) -> LinearAutom
     if abs(float(l.initial @ l.lam)) > t.zero:
         raise ValueError("iteration requires f_L(eps) = 0")
     bump = np.eye(l.dim) + np.outer(l.lam, l.initial)
-    return LinearAutomaton(
-        l.inputs, {x: l.matrix(x) @ bump for x in l.inputs}, l.initial, l.lam
-    )
+    return l._like(l._letters @ bump, l.initial, l.lam)
 
 
 def la_unary(op: str, l: LinearAutomaton, a: float | None = None,
@@ -299,8 +250,8 @@ def la_equivalent(l1: LinearAutomaton, l2: LinearAutomaton,
     """Equal reactions, via reach/observe bases of the difference automaton."""
     t = resolve(tol)
     diff = la_sum(l1, la_scale(-1.0, l2))
-    reach = _reach_basis(diff, t)
-    obs = _obs_basis(diff, t)
+    reach = kernel.span(diff.initial, diff._letters.transpose(0, 2, 1), t).basis
+    obs = kernel.span(diff.lam, diff._letters, t).basis
     scale = max(1.0, linalg.norm_abs(diff.initial), linalg.norm_abs(diff.lam))
     for r in reach:
         for o in obs:
@@ -309,88 +260,22 @@ def la_equivalent(l1: LinearAutomaton, l2: LinearAutomaton,
     return True
 
 
-def _reach_basis(l: LinearAutomaton, t: Tolerances) -> list[np.ndarray]:
-    span = linalg.Subspace(l.dim, t)
-    frontier = []
-    if span.try_add(l.initial):
-        frontier = [span.basis[-1]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for x in l.inputs:
-                if span.try_add(v @ l.matrix(x)):
-                    nxt.append(span.basis[-1])
-        frontier = nxt
-    # raw (unnormalized) spanning set: initial and its images suffice, but
-    # the orthonormal basis spans the same space, which is all that matters
-    return list(span.basis)
-
-
-def _obs_basis(l: LinearAutomaton, t: Tolerances) -> list[np.ndarray]:
-    span = linalg.Subspace(l.dim, t)
-    frontier = []
-    if span.try_add(l.lam):
-        frontier = [span.basis[-1]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for x in l.inputs:
-                if span.try_add(l.matrix(x) @ v):
-                    nxt.append(span.basis[-1])
-        frontier = nxt
-    return list(span.basis)
-
-
 def reach_degree(l: LinearAutomaton, tol: Tolerances | None = None) -> int:
     """Smallest k at which the span of the rows xi . L^u, |u| <= k, stabilizes."""
-    t = resolve(tol)
-    span = linalg.Subspace(l.dim, t)
-    frontier = []
-    if span.try_add(l.initial):
-        frontier = [span.basis[-1]]
-    k = 0
-    while True:
-        nxt = []
-        for v in frontier:
-            for x in l.inputs:
-                if span.try_add(v @ l.matrix(x)):
-                    nxt.append(span.basis[-1])
-        if not nxt:
-            return k
-        frontier = nxt
-        k += 1
+    return kernel.span(l.initial, l._letters.transpose(0, 2, 1), resolve(tol)).levels
 
 
 def disting_degree(l: LinearAutomaton, tol: Tolerances | None = None) -> int:
     """Smallest k at which the span of the columns L^u . lam stabilizes."""
-    t = resolve(tol)
-    span = linalg.Subspace(l.dim, t)
-    frontier = []
-    if span.try_add(l.lam):
-        frontier = [span.basis[-1]]
-    k = 0
-    while True:
-        nxt = []
-        for v in frontier:
-            for x in l.inputs:
-                if span.try_add(l.matrix(x) @ v):
-                    nxt.append(span.basis[-1])
-        if not nxt:
-            return k
-        frontier = nxt
-        k += 1
+    return kernel.span(l.lam, l._letters, resolve(tol)).levels
 
 
 # --- Hankel matrices and minimal realization ------------------------------------
 
-def _fn_of(f, alphabet=None) -> tuple[tuple[str, ...], int, callable]:
-    if isinstance(f, StringFunctionTable):
-        return f.alphabet, f.depth, f.value
-    if callable(f):
-        if alphabet is None:
-            raise TypeError("a callable oracle needs an explicit alphabet")
-        return tuple(alphabet), 1 << 30, f
-    raise TypeError("expected a StringFunctionTable or a callable oracle")
+def _table(f) -> StringFunctionTable:
+    if not isinstance(f, StringFunctionTable):
+        raise TypeError("expected a StringFunctionTable")
+    return f
 
 
 def hankel_block(f, row_len: int, col_len: int, alphabet=None) -> np.ndarray:
@@ -398,7 +283,14 @@ def hankel_block(f, row_len: int, col_len: int, alphabet=None) -> np.ndarray:
 
     f is either a table or a word -> value oracle (then pass the alphabet).
     """
-    alphabet, depth, fn = _fn_of(f, alphabet)
+    if isinstance(f, StringFunctionTable):
+        alphabet, depth, fn = f.alphabet, f.depth, f.value
+    elif callable(f):
+        if alphabet is None:
+            raise TypeError("a callable oracle needs an explicit alphabet")
+        alphabet, depth, fn = tuple(alphabet), 1 << 30, f
+    else:
+        raise TypeError("expected a StringFunctionTable or a callable oracle")
     if row_len + col_len > depth:
         raise ValueError("table too shallow for the requested block")
     rows = list(words_upto(alphabet, row_len))
@@ -417,10 +309,8 @@ class HankelBasis:
     alphabet: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "core", _freeze(self.core))
-        object.__setattr__(
-            self, "letters", MappingProxyType({x: _freeze(m) for x, m in self.letters.items()})
-        )
+        object.__setattr__(self, "core", kernel.freeze(self.core))
+        object.__setattr__(self, "letters", kernel.freeze_map(self.letters))
 
     @property
     def rank(self) -> int:
@@ -445,13 +335,13 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
     or the table is too shallow to certify the basis.
     """
     t = resolve(tol)
-    alphabet, depth, fn = _fn_of(f)
+    f = _table(f)
+    alphabet, depth, fn = f.alphabet, f.depth, f.value
     if rank_bound < 1:
         raise ValueError("rank bound must be >= 1")
     max_tag = min(rank_bound - 1, max(0, (depth - 1) // 2))
-    rows = list(words_upto(alphabet, max_tag))
-    cols = list(words_upto(alphabet, max_tag))
-    block = np.array([[fn(u + v) for v in cols] for u in rows])
+    rows = cols = list(words_upto(alphabet, max_tag))
+    block = hankel_block(f, max_tag, max_tag)
     if linalg.norm_abs(block) <= t.zero:
         raise ValueError("identically zero function has no Hankel basis")
     row_vectors = {u: block[i] for i, u in enumerate(rows)}
@@ -478,15 +368,12 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
 def e_f_dimension(f, depth: int | None = None, tol: Tolerances | None = None) -> int:
     """Rank of the Hankel block: the minimal realizing dimension (0 for zero f)."""
     t = resolve(tol)
-    alphabet, table_depth, fn = _fn_of(f)
-    depth = table_depth if depth is None else min(depth, table_depth)
-    half = depth // 2
-    rows = list(words_upto(alphabet, half))
-    cols = list(words_upto(alphabet, depth - half))
-    block = np.array([[fn(u + v) for v in cols] for u in rows])
+    f = _table(f)
+    depth = f.depth if depth is None else min(depth, f.depth)
+    block = hankel_block(f, depth // 2, depth - depth // 2)
     if linalg.norm_abs(block) <= t.zero:
         return 0
-    span = linalg.Subspace(len(cols), t)
+    span = linalg.Subspace(block.shape[1], t)
     return sum(1 for row in block if span.try_add(row))
 
 
@@ -498,7 +385,8 @@ def realize(f, rank_bound: int | None = None, tol: Tolerances | None = None) -> 
     automaton by convention.
     """
     t = resolve(tol)
-    alphabet, depth, _ = _fn_of(f)
+    f = _table(f)
+    alphabet, depth = f.alphabet, f.depth
     if linalg.norm_abs(np.array(list(f.values.values()) or [0.0])) <= t.zero:
         return la_zero(alphabet)
     if rank_bound is None:
@@ -729,26 +617,18 @@ def _affine_embed_core(l: LinearAutomaton, tol: Tolerances) -> tuple[MoorePA, fl
     """Positive-automaton embedding for an automaton whose lam is e1."""
     n = l.dim
     pad = n + 2
-    a1 = {}
-    max_entry = 0.0
-    for x in l.inputs:
-        m = np.zeros((pad, pad))
-        lx = l.matrix(x)
-        m[:n, :n] = lx
-        m[:n, n] = -lx.sum(axis=1)          # zero row sums for the first n rows
-        m[n + 1, :n] = -lx.sum(axis=0)      # zero column sums for the first n cols
-        m[n + 1, n] = lx.sum()
-        a1[x] = m
-        max_entry = max(max_entry, linalg.norm_abs(m))
+    letters = l._letters
+    a1 = np.zeros((len(l.inputs), pad, pad))
+    a1[:, :n, :n] = letters
+    a1[:, :n, n] = -letters.sum(axis=2)          # zero row sums for the first n rows
+    a1[:, n + 1, :n] = -letters.sum(axis=1)      # zero column sums for the first n cols
+    a1[:, n + 1, n] = letters.sum(axis=(1, 2))
     xi1 = np.concatenate([l.initial, [-l.initial.sum()], [0.0]])
-    max_entry = max(max_entry, linalg.norm_abs(xi1))
-    a = (1.0 / pad) / (1.0 + max_entry)
-    uniform = np.full((pad, pad), 1.0 / pad)
-    trans = {x: a * a1[x] + uniform for x in l.inputs}
+    a = (1.0 / pad) / (1.0 + max(np.abs(a1).max(initial=0.0), linalg.norm_abs(xi1)))
     init = a * xi1 + np.full(pad, 1.0 / pad)
-    lam = np.zeros(pad)
-    lam[0] = 1.0
-    return MoorePA(l.inputs, trans, init, lam).validate(tol), a
+    pa = MoorePA(l.inputs, dict(zip(l.inputs, a * a1 + 1.0 / pad)), init,
+                 linalg.point_distribution(pad, 0))
+    return pa.validate(tol), a
 
 
 def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[MoorePA, float]:
@@ -761,13 +641,10 @@ def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[
     n = l.dim
     if linalg.norm_abs(l.lam) <= t.zero:
         pad = n + 2
-        trans = {x: np.eye(pad) for x in l.inputs}
-        lam = np.zeros(pad)
-        lam[0] = 1.0 / pad
-        return MoorePA(l.inputs, trans, linalg.point_distribution(pad, 0), lam), 1.0 / pad
+        start = linalg.point_distribution(pad, 0)
+        return MoorePA(l.inputs, {x: np.eye(pad) for x in l.inputs}, start, start / pad), 1.0 / pad
     work = l
-    e1 = np.zeros(n)
-    e1[0] = 1.0
+    e1 = linalg.point_distribution(n, 0)
     if linalg.norm_abs(l.lam - e1) > t.zero:
         # p = |lam| . Q with Q orthogonal keeps p e1 = lam exactly while the
         # conjugated matrices keep their scale (condition number 1)
@@ -775,12 +652,7 @@ def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[
         q = _orthogonal_with_first_column(l.lam, t)
         p = scale * q
         p_inv = q.T / scale
-        work = LinearAutomaton(
-            l.inputs,
-            {x: p_inv @ l.matrix(x) @ p for x in l.inputs},
-            l.initial @ p,
-            e1,
-        )
+        work = l._like(p_inv @ l._letters @ p, l.initial @ p, e1)
     return _affine_embed_core(work, t)
 
 
@@ -794,10 +666,10 @@ def la_language_pa(l: LinearAutomaton, a: float, tol: Tolerances | None = None) 
     t = resolve(tol)
     n = l.dim
     cut = 1.0 / (n + 4)
+    corner = np.ones((len(l.inputs), 1, 1))
     # f_Lp = f_L - a
-    lp = LinearAutomaton(
-        l.inputs,
-        {x: _diag_block(l.matrix(x), 1.0) for x in l.inputs},
+    lp = l._like(
+        kernel.block_union(l._letters, corner),
         np.concatenate([l.initial, [1.0]]),
         np.concatenate([l.lam, [-a]]),
     )
@@ -810,37 +682,16 @@ def la_language_pa(l: LinearAutomaton, a: float, tol: Tolerances | None = None) 
         lam1 = np.concatenate([lp.lam, [-f_eps]])
         if linalg.norm_abs(lam1) <= t.zero:
             # identically-zero shifted reaction: the language is empty
-            pad = m + 3
-            trans = {x: np.eye(pad) for x in l.inputs}
-            out = np.zeros(pad)
-            out[0] = cut
-            return (
-                MoorePA(l.inputs, trans, linalg.point_distribution(pad, 0), out),
-                cut,
-            )
+            start = linalg.point_distribution(m + 3, 0)
+            return MoorePA(l.inputs, {x: np.eye(m + 3) for x in l.inputs}, start, cut * start), cut
     # conjugating by an orthogonal completion rescales the reaction by
     # 1/|lam1| (sign-preserving, so membership is untouched) and keeps the
     # embedded matrices well conditioned
     p = _orthogonal_with_first_column(lam1, t)
-    l1_trans = {x: _diag_block(lp.matrix(x), 0.0) for x in l.inputs}
-    e1 = np.zeros(m + 1)
-    e1[0] = 1.0
-    l2 = LinearAutomaton(
-        l.inputs,
-        {x: p.T @ l1_trans[x] @ p for x in l.inputs},
-        xi1 @ p,
-        e1,
-    )
+    l1_letters = kernel.block_union(lp._letters, np.zeros_like(corner))
+    l2 = l._like(p.T @ l1_letters @ p, xi1 @ p, linalg.point_distribution(m + 1, 0))
     pa, _ = _affine_embed_core(l2, t)
     return pa, cut
-
-
-def _diag_block(m: np.ndarray, corner: float) -> np.ndarray:
-    n = m.shape[0]
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = m
-    out[n, n] = corner
-    return out
 
 
 def laf_from_level_dfas(levels: list[tuple[float, Dfa]], check_depth: int = 4,
@@ -861,18 +712,9 @@ def laf_from_level_dfas(levels: list[tuple[float, Dfa]], check_depth: int = 4,
             raise ValueError(
                 f"level DFAs do not partition the words: {u!r} matched {len(hits)} levels"
             )
-    sizes = [d.n_states for _, d in levels]
-    total = sum(sizes)
-    offsets = np.cumsum([0] + sizes)
-    trans = {x: np.zeros((total, total)) for x in alphabet}
-    init = np.zeros(total)
-    lam = np.zeros(total)
-    for i, (value, d) in enumerate(levels):
-        off = offsets[i]
-        init[off + d.start] = 1.0
-        for s in range(d.n_states):
-            if s in d.accepting:
-                lam[off + s] = value
-            for x in alphabet:
-                trans[x][off + s, off + d.trans[x][s]] = 1.0
-    return LinearAutomaton(alphabet, trans, init, lam)
+    out = None
+    for value, d in levels:
+        p = dfa_to_pa(d)
+        level = LinearAutomaton(alphabet, p.trans, p.initial, value * p.lam)
+        out = level if out is None else la_sum(out, level)
+    return out

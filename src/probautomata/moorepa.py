@@ -2,58 +2,33 @@
 
 Averaged reactions xi . A^u . lam, averaged basis matrices, reduction by
 convex-combination elimination, Mealy/Moore classification of general
-automata, and the 0/1 embedding of deterministic automata.
+automata, and the 0/1 embedding of deterministic automata.  The algorithms
+run in `kernel`, with lam as the final column.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
+from . import kernel, linalg
 from .dfa import Dfa, Word, dfa_reachable_part, words_upto
 from .generalpa import GeneralPA
 from .tolerances import Tolerances, resolve
 
 
-def _freeze(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
-class MoorePA:
-    inputs: tuple[str, ...]
-    trans: dict[str, np.ndarray]
-    initial: np.ndarray
-    lam: np.ndarray
+class MoorePA(kernel.LetterAutomaton):
+    """A view of the kernel representation with stochastic validation.
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(
-            self, "trans", MappingProxyType({x: _freeze(m) for x, m in self.trans.items()})
-        )
-        object.__setattr__(self, "initial", _freeze(self.initial))
-        object.__setattr__(self, "lam", _freeze(np.ravel(self.lam)))
+    One row-stochastic matrix per input letter, an initial distribution and
+    a numeric output column lam (the final column).
+    """
 
     @property
     def n_states(self) -> int:
         return self.initial.size
-
-    def matrix(self, x: str) -> np.ndarray:
-        m = self.trans.get(x)
-        if m is None:
-            raise KeyError(f"unknown input symbol {x!r}")
-        return m
-
-    def word_matrix(self, u: Word) -> np.ndarray:
-        out = np.eye(self.n_states)
-        for x in u:
-            out = out @ self.matrix(x)
-        return out
 
     def validate(self, tol: Tolerances | None = None) -> "MoorePA":
         t = resolve(tol)
@@ -79,70 +54,30 @@ def avg_reaction(a: MoorePA, u: Word, xi: np.ndarray | None = None) -> float:
 
 def avg_reaction_table(a: MoorePA, depth: int) -> dict[Word, float]:
     """All averaged reactions to the given depth, sharing prefix products."""
-    values = {(): float(a.initial @ a.lam)}
-    frontier: list[tuple[Word, np.ndarray]] = [((), a.initial)]
-    for _ in range(depth):
-        nxt = []
-        for u, row in frontier:
-            for x in a.inputs:
-                row2 = row @ a.matrix(x)
-                values[u + (x,)] = float(row2 @ a.lam)
-                nxt.append((u + (x,), row2))
-        frontier = nxt
-    return values
+    values = kernel.prefix_values(a.initial, a._letters, a.lam, depth)
+    return dict(zip(words_upto(a.inputs, depth), values.tolist()))
 
 
 def avg_basis_matrix(a: MoorePA, tol: Tolerances | None = None):
-    """Basis of the span of the columns A^u . lam, with word tags."""
-    t = resolve(tol)
-    n = a.n_states
-    span = linalg.Subspace(n, t)
-    columns: list[np.ndarray] = []
-    tags: list[Word] = []
-    if span.try_add(a.lam):
-        columns.append(np.array(a.lam))
-        tags.append(())
-    if not columns:  # identically-zero output column still spans something trivial
-        return np.zeros((n, 1)), [()]
-    sweeps = 0
-    while True:
-        grew = False
-        snapshot = list(zip(columns, tags))
-        for col, u in snapshot:
-            for x in a.inputs:
-                cand = a.matrix(x) @ col
-                if span.try_add(cand):
-                    columns.append(cand)
-                    tags.append((x,) + u)
-                    grew = True
-        sweeps += 1
-        if not grew:
-            break
-        assert sweeps <= n, "basis sweeps exceeded the state count"
-    return np.column_stack(columns), tags
+    """Basis of the span of the raw columns A^u . lam, with word tags."""
+    s = kernel.span(a.lam, a._letters, resolve(tol))
+    if not s.columns:  # identically-zero output column still spans something trivial
+        return np.zeros((a.n_states, 1)), [()]
+    return np.column_stack(s.columns), [tuple(a.inputs[k] for k in w) for w in s.tags]
 
 
 def avg_distributions_equivalent(a: MoorePA, xi1, xi2, tol: Tolerances | None = None) -> bool:
     t = resolve(tol)
     basis, _ = avg_basis_matrix(a, t)
-    diff = (np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)) @ basis
-    return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
+    return kernel.basis_agrees(basis, xi1, xi2, t)
 
 
 def moore_disjoint_union(a1: MoorePA, a2: MoorePA) -> MoorePA:
     if a1.inputs != a2.inputs:
         raise ValueError("alphabet mismatch")
-    n1, n2 = a1.n_states, a2.n_states
-    trans = {}
-    for x in a1.inputs:
-        m = np.zeros((n1 + n2, n1 + n2))
-        m[:n1, :n1] = a1.matrix(x)
-        m[n1:, n1:] = a2.matrix(x)
-        trans[x] = m
-    return MoorePA(
-        a1.inputs,
-        trans,
-        np.concatenate([a1.initial, np.zeros(n2)]),
+    return a1._like(
+        kernel.block_union(a1._letters, a2._letters),
+        np.concatenate([a1.initial, np.zeros(a2.n_states)]),
         np.concatenate([a1.lam, a2.lam]),
     )
 
@@ -150,32 +85,12 @@ def moore_disjoint_union(a1: MoorePA, a2: MoorePA) -> MoorePA:
 def avg_equivalent(a1: MoorePA, a2: MoorePA, tol: Tolerances | None = None) -> bool:
     """Equal averaged reactions, decided on the disjoint union's basis."""
     union = moore_disjoint_union(a1, a2)
-    xi1 = np.concatenate([a1.initial, np.zeros(a2.n_states)])
     xi2 = np.concatenate([np.zeros(a1.n_states), a2.initial])
-    return avg_distributions_equivalent(union, xi1, xi2, tol)
+    return avg_distributions_equivalent(union, union.initial, xi2, tol)
 
 
 def moore_reachable_part(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
-    t = resolve(tol)
-    n = a.n_states
-    alive = {i for i in range(n) if a.initial[i] > t.zero}
-    changed = True
-    while changed:
-        changed = False
-        for x in a.inputs:
-            m = a.matrix(x)
-            for i in list(alive):
-                for j in range(n):
-                    if j not in alive and m[i, j] > t.zero:
-                        alive.add(j)
-                        changed = True
-    idx = np.array(sorted(alive), dtype=int)
-    return MoorePA(
-        a.inputs,
-        {x: a.matrix(x)[np.ix_(idx, idx)] for x in a.inputs},
-        a.initial[idx],
-        a.lam[idx],
-    )
+    return a._like(*kernel.restrict_reachable(a._letters, a.initial, a.lam, resolve(tol)))
 
 
 def find_convex_state_avg(a: MoorePA, tol: Tolerances | None = None):
@@ -184,28 +99,14 @@ def find_convex_state_avg(a: MoorePA, tol: Tolerances | None = None):
     if a.n_states < 2:
         return None
     basis, _ = avg_basis_matrix(a, t)
-    for s in range(a.n_states - 1, -1, -1):
-        coeffs = linalg.convex_combination_certificate(basis, s, t)
-        if coeffs is not None:
-            return s, coeffs
-    return None
+    return kernel.convex_state(basis, t)
 
 
 def remove_convex_state_avg(
     a: MoorePA, s: int, coeffs: np.ndarray, tol: Tolerances | None = None
 ) -> MoorePA:
     """Fold the convex state into the mixture: B^x = (E 0) A^x (E ; xi)."""
-    n = a.n_states
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n - 1,):
-        raise ValueError("certificate has wrong length")
-    others = [i for i in range(n) if i != s]
-    trans = {
-        x: a.matrix(x)[np.ix_(others, others)] + np.outer(a.matrix(x)[others, s], coeffs)
-        for x in a.inputs
-    }
-    init = a.initial[others] + a.initial[s] * coeffs
-    return MoorePA(a.inputs, trans, init, a.lam[others])
+    return a._like(*kernel.fold(a._letters, a.initial, a.lam, s, coeffs))
 
 
 def reduce_avg(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
@@ -268,12 +169,9 @@ def moore_to_general(a: MoorePA) -> GeneralPA:
     """
     labels = [format(v, ".12g") for v in a.lam]
     outputs = tuple(dict.fromkeys(labels))
-    trans = {}
-    for x in a.inputs:
-        m = a.matrix(x)
-        for y in outputs:
-            mask = np.array([1.0 if lab == y else 0.0 for lab in labels])
-            trans[(x, y)] = m * mask[:, None]
+    trans = {
+        (x, y): a.matrix(x) * (np.array(labels) == y)[:, None] for x in a.inputs for y in outputs
+    }
     return GeneralPA(a.inputs, outputs, trans, a.initial)
 
 
@@ -286,12 +184,7 @@ def dfa_to_pa(d: Dfa) -> MoorePA:
     membership at cut point 0 is tolerance-free.
     """
     n = d.n_states
-    trans = {}
-    for x in d.alphabet:
-        m = np.zeros((n, n))
-        for s in range(n):
-            m[s, d.trans[x][s]] = 1.0
-        trans[x] = m
+    trans = {x: np.eye(n)[list(d.trans[x])] for x in d.alphabet}  # row s is e_{trans[x][s]}
     lam = np.array([1.0 if s in d.accepting else 0.0 for s in range(n)])
     return MoorePA(d.alphabet, trans, linalg.point_distribution(n, d.start), lam)
 

@@ -12,7 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from . import linalg
+from . import kernel, linalg
 from .dfa import Word, words_of_length, words_upto
 from .generalpa import GeneralPA, ReactionTable, reaction_table, residual_automaton
 from .tolerances import Tolerances, resolve
@@ -168,14 +168,10 @@ class MarkovChain:
     initial: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        init = np.asarray(self.initial, dtype=float)
-        init.setflags(write=False)
         object.__setattr__(self, "signals", tuple(self.signals))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "initial", init)
+        object.__setattr__(self, "matrix", kernel.freeze(self.matrix))
+        object.__setattr__(self, "initial", kernel.freeze(self.initial))
 
     @property
     def n_states(self) -> int:
@@ -210,23 +206,18 @@ def mc_function(m: MarkovChain, u: Word) -> float:
 
 
 def mc_sequence(m: MarkovChain, depth: int) -> RandomSequence:
-    """Tabulate the chain's signal sequence to the given depth."""
-    values: dict[Word, float] = {(): 1.0}
-    frontier: list[tuple[Word, np.ndarray]] = []
-    for x in m.signals:
-        row = m.initial @ m.signal_projector(x)
-        values[(x,)] = float(row.sum())
-        frontier.append(((x,), row))
-    for _ in range(depth - 1):
-        nxt = []
-        for u, row in frontier:
-            stepped = row @ m.matrix
-            for x in m.signals:
-                row2 = stepped @ m.signal_projector(x)
-                values[u + (x,)] = float(row2.sum())
-                nxt.append((u + (x,), row2))
-        frontier = nxt
-    return RandomSequence(m.signals, depth, values)
+    """Tabulate the chain's signal sequence to the given depth.
+
+    Signal x is the letter P_x . M with final column ones: the value
+    xi . P_x1 M ... P_xk M . 1 is the chain's xi . P_x1 M ... M P_xk . 1
+    because M . 1 = 1.  The empty word has mass exactly 1.
+    """
+    letters = [m.signal_projector(x) @ m.matrix for x in m.signals]
+    values = kernel.prefix_values(
+        m.initial, kernel.stack(letters, m.n_states), np.ones(m.n_states), depth
+    ).tolist()
+    values[0] = 1.0
+    return RandomSequence(m.signals, depth, dict(zip(words_upto(m.signals, depth), values)))
 
 
 def iid_sequence(alphabet, weights, depth: int, tol: Tolerances | None = None) -> RandomSequence:
