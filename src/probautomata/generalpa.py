@@ -23,8 +23,9 @@ from .tolerances import Tolerances, resolve
 class GeneralPA:
     """A view of the kernel representation whose letters are the pairs (x, y).
 
-    The letter tensor stacks the pair matrices inputs-major, outputs-minor;
-    the final column is all ones.
+    The stored letter tensor stacks the pair matrices inputs-major,
+    outputs-minor, and `trans` maps each pair to its slice; the final column
+    is all ones.
     """
 
     inputs: tuple[str, ...]
@@ -35,8 +36,8 @@ class GeneralPA:
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "trans", kernel.freeze_map(self.trans))
         object.__setattr__(self, "initial", kernel.freeze(self.initial))
+        kernel.store_letters(self, self._keys)
 
     @property
     def n_states(self) -> int:
@@ -53,16 +54,12 @@ class GeneralPA:
         return tuple((x, y) for x in self.inputs for y in self.outputs)
 
     @property
-    def _letters(self) -> np.ndarray:
-        return kernel.stack([self.matrix(x, y) for x, y in self._keys], self.n_states)
-
-    @property
     def _final(self) -> np.ndarray:
         return np.ones(self.n_states)
 
-    def _like(self, letters, initial, final=None) -> "GeneralPA":
+    def _like(self, letters, initial) -> "GeneralPA":
         """Same alphabets over new kernel arrays; the final column stays ones."""
-        return GeneralPA(self.inputs, self.outputs, dict(zip(self._keys, letters)), initial)
+        return GeneralPA(self.inputs, self.outputs, kernel.Slices(self._keys, letters), initial)
 
     def input_matrix(self, x: str) -> np.ndarray:
         """Sum over outputs: the stochastic matrix of the input letter."""
@@ -73,14 +70,10 @@ class GeneralPA:
         n = self.n_states
         linalg.validate_distribution(self.initial, t, "initial distribution")
         for x in self.inputs:
-            total = np.zeros((n, n))
             for y in self.outputs:
-                m = self.matrix(x, y)
-                if m.shape != (n, n):
-                    raise ValueError(f"matrix for ({x!r},{y!r}) has shape {m.shape}")
-                if m.min() < -t.nonneg:
+                if self.matrix(x, y).min() < -t.nonneg:
                     raise ValueError(f"negative entry in matrix for ({x!r},{y!r})")
-                total = total + m
+            total = sum((self.matrix(x, y) for y in self.outputs), np.zeros((n, n)))
             linalg.validate_stochastic(total, t, f"sum over outputs for input {x!r}")
         return self
 
@@ -90,10 +83,7 @@ def word_matrix(a: GeneralPA, u: Word, v: Word) -> np.ndarray:
     n = a.n_states
     if len(u) != len(v):
         return np.zeros((n, n))
-    out = np.eye(n)
-    for x, y in zip(u, v):
-        out = out @ a.matrix(x, y)
-    return out
+    return kernel.word_product(np.eye(n), map(a.matrix, u, v))
 
 
 def reaction(a: GeneralPA, u: Word, v: Word, xi: np.ndarray | None = None) -> float:
@@ -101,9 +91,7 @@ def reaction(a: GeneralPA, u: Word, v: Word, xi: np.ndarray | None = None) -> fl
     row = a.initial if xi is None else np.asarray(xi, dtype=float)
     if len(u) != len(v):
         return 0.0
-    for x, y in zip(u, v):
-        row = row @ a.matrix(x, y)
-    return float(row.sum())
+    return float(kernel.word_product(row, map(a.matrix, u, v)).sum())
 
 
 # --- reaction tables ----------------------------------------------------------
@@ -274,7 +262,8 @@ def equivalent(a1: GeneralPA, a2: GeneralPA, tol: Tolerances | None = None) -> b
 
 def reachable_part(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
     """Restrict to states carrying initial mass or reachable through a nonzero entry."""
-    return a._like(*kernel.restrict_reachable(a._letters, a.initial, a._final, resolve(tol)))
+    letters, init, _ = kernel.restrict_reachable(a._letters, a.initial, a._final, resolve(tol))
+    return a._like(letters, init)
 
 
 def find_convex_state(a: GeneralPA, tol: Tolerances | None = None):
@@ -300,13 +289,13 @@ def remove_convex_state(
     the now-unreachable last state is dropped.
     """
     t = resolve(tol)
-    folded = kernel.fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
+    letters, init, _ = kernel.fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
     basis, _ = basis_matrix(a, t)
     others = np.delete(np.arange(a.n_states), s)
     residual_err = linalg.norm_abs(basis[s] - np.asarray(coeffs, dtype=float) @ basis[others])
     if residual_err > max(t.lp * 100.0, 1e-8) * max(1.0, linalg.norm_abs(basis)):
         raise ValueError("certificate does not reproduce the basis row")
-    return a._like(*folded)
+    return a._like(letters, init)
 
 
 def reduce(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:

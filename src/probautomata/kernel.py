@@ -4,12 +4,15 @@ GeneralPA, MoorePA, LinearAutomaton and MarkovChain are one object: an
 initial row `initial` (n,), one n-by-n matrix per letter stacked into
 `letters` (k, n, n) in the class's key order, and a final column `final`
 (n,).  For a GeneralPA the letters are the (input, output) pairs and the
-final column is all ones.  The automaton classes are validated views of
-that object; their public functions translate keys and words at the API
-edge and call the functions here.
+final column is all ones.  The automaton classes keep the letter tensor
+as their storage (`store_letters`; `trans` maps each key to a read-only
+slice of it) and are validated views of that object; their public
+functions translate keys and words at the API edge and call the
+functions here.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -31,17 +34,46 @@ def freeze_map(matrices: dict) -> MappingProxyType:
     return MappingProxyType({k: freeze(m) for k, m in matrices.items()})
 
 
-def stack(matrices: list, n: int) -> np.ndarray:
-    """Read-only (k, n, n) letter tensor; (0, n, n) for an empty alphabet."""
-    return freeze(np.array(matrices, dtype=float).reshape(len(matrices), n, n))
+class Slices(dict):
+    """Key -> slice map of a fresh letter tensor, which `store_letters` keeps
+    as the automaton's storage without a copy."""
+
+    def __init__(self, keys, tensor):
+        super().__init__(zip(keys, tensor))
+        self.tensor = tensor
+
+
+def store_letters(obj, keys) -> None:
+    """Store obj.trans as obj._letters, one read-only (k, n, n) tensor in key
+    order, and make obj.trans a read-only map from each key to its slice.
+
+    Raises KeyError for a key without a matrix and ValueError for a matrix
+    that is not n-by-n or a matrix whose key is not a letter.
+    """
+    n, trans = obj.initial.size, obj.trans
+    if isinstance(trans, Slices):
+        tensor = trans.tensor
+    else:
+        for key in keys:
+            if key not in trans:
+                raise KeyError(f"no matrix for {key!r}")
+            if np.shape(trans[key]) != (n, n):
+                raise ValueError(f"matrix for {key!r} has shape {np.shape(trans[key])}")
+        if set(trans) - set(keys):
+            raise ValueError(f"matrices for unknown letters {sorted(set(trans) - set(keys))}")
+        tensor = np.array([trans[key] for key in keys], dtype=float).reshape(len(keys), n, n)
+    tensor = freeze(np.ascontiguousarray(tensor, dtype=float))
+    object.__setattr__(obj, "_letters", tensor)
+    object.__setattr__(obj, "trans", MappingProxyType(dict(zip(keys, tensor))))
 
 
 @dataclass(frozen=True, eq=False)
 class LetterAutomaton:
     """Fields shared by MoorePA and LinearAutomaton.
 
-    One matrix per input letter, the initial row and the output column lam,
-    which is the final column of the shared representation.
+    One matrix per input letter, stored as the slices of one letter tensor,
+    the initial row and the output column lam, which is the final column of
+    the shared representation.
     """
 
     inputs: tuple[str, ...]
@@ -51,9 +83,9 @@ class LetterAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "trans", freeze_map(self.trans))
         object.__setattr__(self, "initial", freeze(self.initial))
         object.__setattr__(self, "lam", freeze(np.ravel(self.lam)))
+        store_letters(self, self.inputs)
 
     def matrix(self, x: str) -> np.ndarray:
         m = self.trans.get(x)
@@ -62,18 +94,16 @@ class LetterAutomaton:
         return m
 
     def word_matrix(self, u: Word) -> np.ndarray:
-        out = np.eye(self.initial.size)
-        for x in u:
-            out = out @ self.matrix(x)
-        return out
-
-    @property
-    def _letters(self) -> np.ndarray:
-        return stack([self.matrix(x) for x in self.inputs], self.initial.size)
+        return word_product(np.eye(self.initial.size), map(self.matrix, u))
 
     def _like(self, letters, initial, final):
         """Same class and alphabet over new kernel arrays."""
-        return type(self)(self.inputs, dict(zip(self.inputs, letters)), initial, final)
+        return type(self)(self.inputs, Slices(self.inputs, letters), initial, final)
+
+
+def word_product(start, matrices) -> np.ndarray:
+    """start . M1 ... Mk, left to right, over the letter matrices of one word."""
+    return functools.reduce(np.matmul, matrices, np.asarray(start, dtype=float))
 
 
 def prefix_values(initial, letters, final, depth: int) -> np.ndarray:
@@ -105,6 +135,12 @@ def span(start, letters, t: Tolerances) -> Span:
     the older columns' images were already tried against a smaller span.
     A forward span of the rows start . L^u is the same call on
     letters.transpose(0, 2, 1).
+
+    The independence test extends the unit basis vector accepted with each
+    column, not the raw column: the rank test of `linalg.Subspace` is
+    absolute for short vectors, and the raw columns of a small-weight
+    automaton shrink with the word length.  In exact arithmetic both keep
+    the same words; the returned columns are raw.
     """
     sub = linalg.Subspace(len(start), t)
     if not sub.try_add(start):
@@ -115,10 +151,9 @@ def span(start, letters, t: Tolerances) -> Span:
         new = []
         for i in last:
             for k, m in enumerate(letters):
-                cand = m @ columns[i]
-                if sub.try_add(cand):
+                if sub.try_add(m @ sub.basis[i]):
                     new.append(len(columns))
-                    columns.append(cand)
+                    columns.append(m @ columns[i])
                     tags.append((k,) + tags[i])
         if not new:
             return Span(columns, tags, levels, sub.basis)

@@ -99,15 +99,13 @@ def general_language_pa(a: GeneralPA, y: str) -> MoorePA:
     """
     if y not in a.outputs:
         raise KeyError(f"unknown output symbol {y!r}")
-    n = a.n_states
-    zero = np.zeros((n, n))
-    trans = {}
-    for x in a.inputs:
-        rest = sum((a.matrix(x, y2) for y2 in a.outputs if y2 != y), zero)
-        trans[x] = np.tile(np.hstack([rest, a.matrix(x, y)]), (2, 1))  # [[rest, hit], [rest, hit]]
+    n, j = a.n_states, a.outputs.index(y)
+    pairs = a._letters.reshape(len(a.inputs), len(a.outputs), n, n)
+    rest = np.delete(pairs, j, axis=1).sum(axis=1)
+    letters = np.tile(np.concatenate([rest, pairs[:, j]], axis=2), (1, 2, 1))  # [[rest, hit]] * 2
     init = np.concatenate([a.initial, np.zeros(n)])
     lam = np.concatenate([np.zeros(n), np.ones(n)])
-    return MoorePA(a.inputs, trans, init, lam)
+    return MoorePA(a.inputs, dict(zip(a.inputs, letters)), init, lam)
 
 
 # --- isolation -----------------------------------------------------------------

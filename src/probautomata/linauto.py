@@ -39,8 +39,6 @@ class LinearAutomaton(kernel.LetterAutomaton):
         if self.lam.shape != (n,):
             raise ValueError("output column has wrong length")
         for x in self.inputs:
-            if self.matrix(x).shape != (n, n):
-                raise ValueError(f"matrix for {x!r} is not {n}x{n}")
             if not np.all(np.isfinite(self.matrix(x))):
                 raise ValueError(f"non-finite entries in matrix for {x!r}")
         return self
@@ -48,9 +46,7 @@ class LinearAutomaton(kernel.LetterAutomaton):
 
 def la_reaction(l: LinearAutomaton, u: Word, xi: np.ndarray | None = None) -> float:
     row = l.initial if xi is None else np.asarray(xi, dtype=float)
-    for x in u:
-        row = row @ l.matrix(x)
-    return float(row @ l.lam)
+    return float(kernel.word_product(row, map(l.matrix, u)) @ l.lam)
 
 
 def la_table(l: LinearAutomaton, depth: int) -> "StringFunctionTable":
@@ -170,12 +166,9 @@ def la_product(l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:
     """Pointwise product via the Kronecker construction."""
     if l1.inputs != l2.inputs:
         raise ValueError("alphabet mismatch")
-    trans = {x: linalg.kron(l1.matrix(x), l2.matrix(x)) for x in l1.inputs}
-    return LinearAutomaton(
-        l1.inputs, trans,
-        linalg.kron(l1.initial[None, :], l2.initial[None, :]).ravel(),
-        linalg.kron(l1.lam[:, None], l2.lam[:, None]).ravel(),
-    )
+    n = l1.dim * l2.dim
+    letters = np.einsum("kij,kab->kiajb", l1._letters, l2._letters).reshape(-1, n, n)
+    return l1._like(letters, np.kron(l1.initial, l2.initial), np.kron(l1.lam, l2.lam))
 
 
 def la_convolution(l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:
@@ -317,14 +310,10 @@ class HankelBasis:
         return self.core.shape[0]
 
 
-def _greedy_tags(vectors: dict[Word, np.ndarray], candidates, ambient: int,
-                 t: Tolerances) -> list[Word]:
-    span = linalg.Subspace(ambient, t)
-    chosen = []
-    for tag in candidates:
-        if span.try_add(vectors[tag]):
-            chosen.append(tag)
-    return chosen
+def _greedy_tags(vectors: np.ndarray, tags, t: Tolerances) -> list:
+    """Tags of the rows that extend the span of the rows before them."""
+    span = linalg.Subspace(vectors.shape[1], t)
+    return [tag for tag, v in zip(tags, vectors) if span.try_add(v)]
 
 
 def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBasis:
@@ -344,10 +333,8 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
     block = hankel_block(f, max_tag, max_tag)
     if linalg.norm_abs(block) <= t.zero:
         raise ValueError("identically zero function has no Hankel basis")
-    row_vectors = {u: block[i] for i, u in enumerate(rows)}
-    col_vectors = {v: block[:, j] for j, v in enumerate(cols)}
-    row_basis = _greedy_tags(row_vectors, rows, len(cols), t)
-    col_basis = _greedy_tags(col_vectors, cols, len(rows), t)
+    row_basis = _greedy_tags(block, rows, t)
+    col_basis = _greedy_tags(block.T, cols, t)
     r = len(row_basis)
     if r != len(col_basis):
         raise ValueError("row and column ranks disagree at this depth")
@@ -373,8 +360,7 @@ def e_f_dimension(f, depth: int | None = None, tol: Tolerances | None = None) ->
     block = hankel_block(f, depth // 2, depth - depth // 2)
     if linalg.norm_abs(block) <= t.zero:
         return 0
-    span = linalg.Subspace(block.shape[1], t)
-    return sum(1 for row in block if span.try_add(row))
+    return len(_greedy_tags(block, range(len(block)), t))
 
 
 def realize(f, rank_bound: int | None = None, tol: Tolerances | None = None) -> LinearAutomaton:
@@ -624,7 +610,8 @@ def _affine_embed_core(l: LinearAutomaton, tol: Tolerances) -> tuple[MoorePA, fl
     a1[:, n + 1, :n] = -letters.sum(axis=1)      # zero column sums for the first n cols
     a1[:, n + 1, n] = letters.sum(axis=(1, 2))
     xi1 = np.concatenate([l.initial, [-l.initial.sum()], [0.0]])
-    a = (1.0 / pad) / (1.0 + max(np.abs(a1).max(initial=0.0), linalg.norm_abs(xi1)))
+    max_entry = max(np.abs(a1).max(initial=0.0), linalg.norm_abs(xi1))
+    a = (1.0 / pad) / (1.0 + max_entry)
     init = a * xi1 + np.full(pad, 1.0 / pad)
     pa = MoorePA(l.inputs, dict(zip(l.inputs, a * a1 + 1.0 / pad)), init,
                  linalg.point_distribution(pad, 0))
@@ -642,7 +629,8 @@ def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[
     if linalg.norm_abs(l.lam) <= t.zero:
         pad = n + 2
         start = linalg.point_distribution(pad, 0)
-        return MoorePA(l.inputs, {x: np.eye(pad) for x in l.inputs}, start, start / pad), 1.0 / pad
+        trans = {x: np.eye(pad) for x in l.inputs}
+        return MoorePA(l.inputs, trans, start, start / pad), 1.0 / pad
     work = l
     e1 = linalg.point_distribution(n, 0)
     if linalg.norm_abs(l.lam - e1) > t.zero:
@@ -683,7 +671,8 @@ def la_language_pa(l: LinearAutomaton, a: float, tol: Tolerances | None = None) 
         if linalg.norm_abs(lam1) <= t.zero:
             # identically-zero shifted reaction: the language is empty
             start = linalg.point_distribution(m + 3, 0)
-            return MoorePA(l.inputs, {x: np.eye(m + 3) for x in l.inputs}, start, cut * start), cut
+            trans = {x: np.eye(m + 3) for x in l.inputs}
+            return MoorePA(l.inputs, trans, start, cut * start), cut
     # conjugating by an orthogonal completion rescales the reaction by
     # 1/|lam1| (sign-preserving, so membership is untouched) and keeps the
     # embedded matrices well conditioned

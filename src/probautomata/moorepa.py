@@ -37,19 +37,14 @@ class MoorePA(kernel.LetterAutomaton):
         if self.lam.shape != (n,) or not np.all(np.isfinite(self.lam)):
             raise ValueError("output column has wrong shape or non-finite entries")
         for x in self.inputs:
-            m = self.matrix(x)
-            if m.shape != (n, n):
-                raise ValueError(f"matrix for {x!r} has shape {m.shape}")
-            linalg.validate_stochastic(m, t, f"matrix for input {x!r}")
+            linalg.validate_stochastic(self.matrix(x), t, f"matrix for input {x!r}")
         return self
 
 
 def avg_reaction(a: MoorePA, u: Word, xi: np.ndarray | None = None) -> float:
     """Expected output after reading u: xi . A^u . lam."""
     row = a.initial if xi is None else np.asarray(xi, dtype=float)
-    for x in u:
-        row = row @ a.matrix(x)
-    return float(row @ a.lam)
+    return float(kernel.word_product(row, map(a.matrix, u)) @ a.lam)
 
 
 def avg_reaction_table(a: MoorePA, depth: int) -> dict[Word, float]:
@@ -137,26 +132,14 @@ def classify(a: GeneralPA, tol: Tolerances | None = None) -> Classification:
     output classifies as MEALY.
     """
     t = resolve(tol)
-    n = a.n_states
     slack = max(t.sum * 100.0, 1e-9)
-    delta = {x: a.input_matrix(x) for x in a.inputs}
-    lam = {
-        x: np.column_stack([a.matrix(x, y).sum(axis=1) for y in a.outputs])
-        for x in a.inputs
-    }
-    for x in a.inputs:
-        for yi, y in enumerate(a.outputs):
-            predicted = delta[x] * lam[x][:, yi][:, None]
-            if linalg.norm_abs(predicted - a.matrix(x, y)) > slack:
-                return Classification.GENERAL
-    x0 = a.inputs[0]
-    input_independent = all(
-        linalg.norm_abs(lam[x] - lam[x0]) <= slack for x in a.inputs
-    )
-    deterministic = input_independent and all(
-        np.max(lam[x0][s]) > 1.0 - slack for s in range(n)
-    )
-    if deterministic:
+    pairs = a._letters.reshape(len(a.inputs), len(a.outputs), a.n_states, a.n_states)
+    delta = pairs.sum(axis=1)   # [x, s, s']: the input matrices
+    lam = pairs.sum(axis=3)     # [x, y, s]: the output law
+    if linalg.norm_abs(delta[:, None] * lam[..., None] - pairs) > slack:
+        return Classification.GENERAL
+    input_independent = linalg.norm_abs(lam - lam[0]) <= slack
+    if input_independent and np.all(lam[0].max(axis=0) > 1.0 - slack):
         return Classification.MOORE_DET_OUT
     return Classification.MEALY
 

@@ -208,15 +208,18 @@ def mc_function(m: MarkovChain, u: Word) -> float:
 def mc_sequence(m: MarkovChain, depth: int) -> RandomSequence:
     """Tabulate the chain's signal sequence to the given depth.
 
-    Signal x is the letter P_x . M with final column ones: the value
-    xi . P_x1 M ... P_xk M . 1 is the chain's xi . P_x1 M ... M P_xk . 1
-    because M . 1 = 1.  The empty word has mass exactly 1.
+    A start state 0 reads the first signal x as the row xi . P_x, and every
+    later signal as the letter M . P_x; with final column ones the value of
+    x1 ... xk is xi . P_x1 M P_x2 ... M P_xk . 1, as in `mc_function`, and the
+    empty word has mass exactly 1.
     """
-    letters = [m.signal_projector(x) @ m.matrix for x in m.signals]
-    values = kernel.prefix_values(
-        m.initial, kernel.stack(letters, m.n_states), np.ones(m.n_states), depth
-    ).tolist()
-    values[0] = 1.0
+    n = m.n_states
+    masks = np.array([[lab == x for lab in m.labels] for x in m.signals], dtype=float)
+    letters = np.zeros((len(m.signals), n + 1, n + 1))
+    letters[:, 0, 1:] = m.initial * masks
+    letters[:, 1:, 1:] = m.matrix * masks[:, None, :]
+    start = linalg.point_distribution(n + 1, 0)
+    values = kernel.prefix_values(start, letters, np.ones(n + 1), depth).tolist()
     return RandomSequence(m.signals, depth, dict(zip(words_upto(m.signals, depth), values)))
 
 

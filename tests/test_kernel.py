@@ -10,6 +10,7 @@ import pytest
 
 import gen
 from probautomata import (
+    LinearAutomaton,
     MarkovChain,
     MoorePA,
     avg_basis_matrix,
@@ -18,6 +19,7 @@ from probautomata import (
     disting_degree,
     hankel_basis,
     la_table,
+    mc_function,
     mc_sequence,
     reach_degree,
     reaction_table,
@@ -82,6 +84,15 @@ def test_degrees_are_span_level_counts(seed):
     assert disting_degree(l) == _rank_degree(cols)
 
 
+def test_degrees_do_not_shrink_with_the_weights():
+    # with letters scaled by 1e-4 the raw depth-2 columns fall under the
+    # absolute rank floor of Subspace; the degrees must not see the scale
+    l = gen.random_la(np.random.default_rng(0), 5, 2)
+    for c in (1.0, 1e-4):
+        s = LinearAutomaton(l.inputs, {x: c * l.matrix(x) for x in l.inputs}, l.initial, l.lam)
+        assert reach_degree(s) == disting_degree(s) == 2
+
+
 def test_tables_iterate_in_shortlex_order():
     rng = np.random.default_rng(3)
     a = gen.random_moore_pa(rng, 3, 3)
@@ -121,6 +132,27 @@ def test_reachability_matches_reference_closure():
         assert np.array_equal(r.lam, a.lam[keep])
 
 
+def test_letter_matrices_are_slices_of_one_stored_tensor():
+    rng = np.random.default_rng(5)
+    a = gen.random_moore_pa(rng, 4, 2)
+    g = gen.random_general_pa(rng, 3, 2, 2)
+    for obj, keys in ((a, a.inputs), (g, [(x, y) for x in g.inputs for y in g.outputs])):
+        assert obj._letters.shape == (len(keys), obj.initial.size, obj.initial.size)
+        for k, key in enumerate(keys):
+            assert np.shares_memory(obj.trans[key], obj._letters)
+            assert np.array_equal(obj.trans[key], obj._letters[k])
+        assert not obj._letters.flags.writeable
+
+
+def test_misshapen_letter_matrices_are_rejected_on_construction():
+    with pytest.raises(ValueError, match="matrix for 'b' has shape"):
+        MoorePA(("a", "b"), {"a": np.eye(2), "b": np.eye(3)}, np.ones(2) / 2, np.ones(2))
+    with pytest.raises(KeyError, match="no matrix for 'b'"):
+        LinearAutomaton(("a", "b"), {"a": np.eye(2)}, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="unknown letters"):
+        LinearAutomaton(("a",), {"a": np.eye(2), "c": np.eye(2)}, np.ones(2), np.ones(2))
+
+
 def test_mc_sequence_depth_zero_round_trips(tmp_path):
     chain = MarkovChain(("a", "b"), np.array([[0.5, 0.5], [0.25, 0.75]]), ("a", "b"),
                         np.array([0.4, 0.6]))
@@ -131,6 +163,18 @@ def test_mc_sequence_depth_zero_round_trips(tmp_path):
     back = pio.load(path)
     assert back.depth == 0
     assert dict(back.table) == {(): 1.0}
+
+
+def test_mc_sequence_matches_mc_function():
+    # also on a non-stochastic matrix, where M . 1 != 1
+    rng = np.random.default_rng(4)
+    for matrix in (gen.random_stochastic(rng, 4, 0.3), rng.random((4, 4))):
+        chain = MarkovChain(("a", "b", "c"), matrix, ("a", "b", "a", "c"),
+                            gen.random_distribution(rng, 4))
+        zeta = mc_sequence(chain, 4)
+        assert list(zeta.table) == list(words_upto(chain.signals, 4))
+        for u, v in zeta.table.items():
+            assert v == pytest.approx(mc_function(chain, u), rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("call", [
