@@ -299,15 +299,14 @@ def remove_convex_state(
 
 
 def reduce(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
-    """Iterate reachable-part extraction and convex-state removal to a fixed point."""
-    t = resolve(tol)
-    current = reachable_part(a, t)
-    while True:
-        hit = find_convex_state(current, t)
-        if hit is None:
-            return current
-        s, coeffs = hit
-        current = reachable_part(remove_convex_state(current, s, coeffs, t), t)
+    """Strip unreachable states and eliminate convex combinations in one pass.
+
+    One basis matrix and one downward scan (`kernel.reduce_convex`): a fold
+    leaves the surviving states' rows unchanged and only shrinks the hull,
+    so no state needs a second look.
+    """
+    letters, init, _ = kernel.reduce_convex(a._letters, a.initial, a._final, resolve(tol))
+    return a._like(letters, init)
 
 
 # --- cones of reactions ---------------------------------------------------------

@@ -124,7 +124,7 @@ class Span(NamedTuple):
     columns: list[np.ndarray]   # raw accepted columns L^u . start
     tags: list[tuple[int, ...]]  # letter indices of u, outermost letter first
     levels: int                 # word lengths past 0 that added a column
-    basis: list[np.ndarray]     # orthonormal basis of the same space
+    basis: np.ndarray           # orthonormal basis rows of the same space
 
 
 def span(start, letters, t: Tolerances) -> Span:
@@ -167,17 +167,25 @@ def basis_agrees(basis, xi1, xi2, t: Tolerances) -> bool:
     return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
 
 
-def restrict_reachable(letters, initial, final, t: Tolerances):
-    """Keep the states with initial mass or reachable through an entry > t.zero."""
+def reachable_states(letters, initial, t: Tolerances) -> np.ndarray:
+    """Indices of the states with initial mass or reachable through an entry > t.zero."""
     step = (letters > t.zero).any(axis=0)
     alive = initial > t.zero
     while True:
         grown = alive | step[alive].any(axis=0)
         if np.array_equal(grown, alive):
-            break
+            return np.flatnonzero(alive)
         alive = grown
-    idx = np.flatnonzero(alive)
+
+
+def restrict(letters, initial, final, idx):
+    """The automaton on the states idx."""
     return letters[:, idx[:, None], idx], initial[idx], final[idx]
+
+
+def restrict_reachable(letters, initial, final, t: Tolerances):
+    """Keep the states with initial mass or reachable through an entry > t.zero."""
+    return restrict(letters, initial, final, reachable_states(letters, initial, t))
 
 
 def convex_state(basis, t: Tolerances):
@@ -190,6 +198,41 @@ def convex_state(basis, t: Tolerances):
         if coeffs is not None:
             return s, coeffs
     return None
+
+
+def reduce_convex(letters, initial, final, t: Tolerances):
+    """Reachable part with every convex-combination state folded away, in one pass.
+
+    The basis matrix (rows: states; columns: the span of L^u . final) is
+    computed once, for the reachable part.  One downward pass then asks each
+    state's row for a convex certificate against the other rows.  A hit is
+    folded, its row deleted, and the automaton restricted to its reachable
+    states again, dropping their rows too; the pass goes on with the highest
+    surviving state below the one folded.  This is safe: a fold leaves every
+    surviving state's behaviour, hence its row, unchanged, and removing rows
+    only shrinks the hull, so a state that failed once cannot pass later.
+    One basis and at most n certificates replace the fixed point's O(n)
+    bases and O(n^2) certificates.
+
+    Each certificate is checked once, by `convex_combination_certificate`
+    against the rows held here: its residual bound, 10 tol.lp relative to
+    the basis, is stricter than the 100 tol.lp of `remove_convex_state`.
+    """
+    letters, initial, final = restrict_reachable(letters, initial, final, t)
+    columns = span(final, letters, t).columns
+    basis = np.column_stack(columns) if columns else np.zeros((initial.size, 1))
+    s = initial.size - 1
+    while s >= 0 and initial.size > 1:
+        coeffs = linalg.convex_combination_certificate(basis, s, t)
+        if coeffs is None:
+            s -= 1
+            continue
+        letters, initial, final = fold(letters, initial, final, s, coeffs)
+        idx = reachable_states(letters, initial, t)
+        letters, initial, final = restrict(letters, initial, final, idx)
+        basis = np.delete(basis, s, axis=0)[idx]
+        s = int(np.searchsorted(idx, s)) - 1
+    return letters, initial, final
 
 
 def fold(letters, initial, final, s: int, coeffs):

@@ -1,8 +1,10 @@
 """Dense real linear algebra used by every automaton module.
 
 Norms, Kronecker products, boolean matrix patterns, incremental subspace
-tracking (modified Gram-Schmidt) and a small two-phase simplex solver with
-Bland's rule.  All matrices are plain numpy float64 arrays.
+tracking (classical Gram-Schmidt applied twice over a basis array), a
+small dense two-phase simplex solver with Bland's rule, each pivot one
+rank-1 array update, and convex-combination certificates built on it.  All
+matrices are plain numpy float64 arrays.
 """
 from __future__ import annotations
 
@@ -115,9 +117,12 @@ def is_primitive(p) -> bool:
 class Subspace:
     """Growable span of row vectors, kept orthonormal.
 
-    Membership uses modified Gram-Schmidt with one re-orthogonalization pass;
-    this is an accumulator object, the one deliberately mutable type in the
-    library (basis construction is inherently incremental).
+    The orthonormal rows live in one array that grows as vectors are
+    accepted.  A residual is two passes of classical Gram-Schmidt,
+    r -= (Q r) Q, which is orthogonal to working precision ("twice is
+    enough": Giraud, Langou & Rozložník 2005).  This is an accumulator
+    object, the one deliberately mutable type in the library (basis
+    construction is inherently incremental).
     """
 
     def __init__(self, ambient_dim: int, tol: Tolerances | None = None):
@@ -125,38 +130,53 @@ class Subspace:
             raise ValueError("ambient dimension must be >= 1")
         self.ambient_dim = ambient_dim
         self.tol = resolve(tol)
-        self.basis: list[np.ndarray] = []
+        self._rows = np.empty((min(ambient_dim, 8), ambient_dim))
+        self._dim = 0
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._dim
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The orthonormal rows, oldest first, as a read-only (dim, ambient) view."""
+        out = self._rows[:self._dim]
+        out.flags.writeable = False
+        return out
 
     def _residual(self, v: np.ndarray) -> np.ndarray:
-        r = v.astype(float).copy()
+        r = v.astype(float)
+        q = self._rows[:self._dim]
         for _ in range(2):
-            for b in self.basis:
-                r -= (r @ b) * b
+            r -= (q @ r) @ q
         return r
 
-    def contains(self, v) -> bool:
+    def _vector(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.ambient_dim,):
             raise ValueError("dimension mismatch")
+        return v
+
+    def contains(self, v) -> bool:
+        v = self._vector(v)
         thresh = self.tol.rank * max(1.0, float(np.linalg.norm(v)))
         return bool(np.linalg.norm(self._residual(v)) <= thresh)
 
     def try_add(self, v) -> bool:
         """Add v if it is independent of the current span; return True if it grew."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.ambient_dim,):
-            raise ValueError("dimension mismatch")
-        if len(self.basis) >= self.ambient_dim:
+        v = self._vector(v)
+        if self._dim >= self.ambient_dim:
             return False
         r = self._residual(v)
         nrm = float(np.linalg.norm(r))
         if nrm <= self.tol.rank * max(1.0, float(np.linalg.norm(v))):
             return False
-        self.basis.append(r / nrm)
+        if self._dim == self._rows.shape[0]:
+            grown = np.empty((min(2 * self._dim, self.ambient_dim), self.ambient_dim))
+            grown[:self._dim] = self._rows
+            self._rows = grown
+        self._rows[self._dim] = r / nrm
+        self._dim += 1
         return True
 
 
@@ -190,35 +210,36 @@ class LpSolution:
     objective: float | None
 
 
-def _bland_pivot(tab: np.ndarray, basis: list[int], n_cols: int, tol: float) -> str:
-    """Run simplex iterations on the tableau in place; Bland's rule throughout."""
-    m = len(basis)
+def _pivot(tab: np.ndarray, row: int, col: int) -> None:
+    """Make column col the unit vector of row row: one rank-1 update."""
+    tab[row] /= tab[row, col]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    tab -= factors[:, None] * tab[row]
+
+
+def _bland_pivot(tab: np.ndarray, basis: np.ndarray, n_cols: int, tol: float) -> str:
+    """Run simplex iterations on the tableau in place; Bland's rule throughout.
+
+    The entering column is the first with reduced cost below -tol.  The
+    leaving row has the least ratio among the rows whose pivot-column entry
+    exceeds tol; ratios within tol of the least tie, and the tie goes to
+    the smallest basis index.
+    """
+    m = basis.size
     while True:
-        entering = -1
-        for j in range(n_cols):
-            if tab[-1, j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        negative = tab[-1, :n_cols] < -tol
+        col = negative.argmax()
+        if not negative[col]:
             return OPTIMAL
-        leaving, best_ratio = -1, np.inf
-        for i in range(m):
-            a = tab[i, entering]
-            if a > tol:
-                ratio = tab[i, -1] / a
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
-                    and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    leaving, best_ratio = i, ratio
-        if leaving < 0:
+        rows = (tab[:m, col] > tol).nonzero()[0]
+        if rows.size == 0:
             return UNBOUNDED
-        piv = tab[leaving, entering]
-        tab[leaving] /= piv
-        for i in range(m + 1):
-            if i != leaving and tab[i, entering] != 0.0:
-                tab[i] -= tab[i, entering] * tab[leaving]
-        basis[leaving] = entering
+        ratios = tab[rows, -1] / tab[rows, col]
+        ties = rows[ratios <= ratios.min() + tol]
+        leaving = ties[basis[ties].argmin()]
+        _pivot(tab, leaving, col)
+        basis[leaving] = col
 
 
 def lp_solve(problem: LpProblem, tol: Tolerances | None = None) -> LpSolution:
@@ -239,45 +260,34 @@ def lp_solve(problem: LpProblem, tol: Tolerances | None = None) -> LpSolution:
     tab[:m, -1] = b
     tab[-1, :n] = -a.sum(axis=0)
     tab[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
     status = _bland_pivot(tab, basis, n + m, t.lp)
     if status != OPTIMAL or -tab[-1, -1] > t.lp:
         return LpSolution(INFEASIBLE, None, None)
 
     # drive artificials out of the basis; drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tab[i, j]) > t.lp:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                continue  # redundant constraint
-            piv = tab[i, pivot_col]
-            tab[i] /= piv
-            for k in range(m + 1):
-                if k != i and tab[k, pivot_col] != 0.0:
-                    tab[k] -= tab[k, pivot_col] * tab[i]
-            basis[i] = pivot_col
-        keep.append(i)
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(basis >= n):
+        cols = np.flatnonzero(np.abs(tab[i, :n]) > t.lp)
+        if cols.size == 0:
+            keep[i] = False  # redundant constraint
+            continue
+        _pivot(tab, i, cols[0])
+        basis[i] = cols[0]
 
-    rows = keep
-    tab2 = np.zeros((len(rows) + 1, n + 1))
-    tab2[:len(rows), :n] = tab[rows][:, :n]
-    tab2[:len(rows), -1] = tab[rows][:, -1]
-    basis2 = [basis[i] for i in rows]
+    # phase 2: the kept rows, the original columns and the true objective,
+    # priced out so that every basic column has reduced cost 0
+    basis = basis[keep]
+    tab2 = np.zeros((basis.size + 1, n + 1))
+    tab2[:-1, :n] = tab[:m][keep, :n]
+    tab2[:-1, -1] = tab[:m][keep, -1]
     tab2[-1, :n] = c
-    for i, bi in enumerate(basis2):
-        if abs(tab2[-1, bi]) > 0.0:
-            tab2[-1] -= tab2[-1, bi] * tab2[i]
-    status = _bland_pivot(tab2, basis2, n, t.lp)
+    tab2[-1] -= c[basis] @ tab2[:-1]
+    status = _bland_pivot(tab2, basis, n, t.lp)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
     x = np.zeros(n)
-    for i, bi in enumerate(basis2):
-        x[bi] = tab2[i, -1]
+    x[basis] = tab2[:-1, -1]
     return LpSolution(OPTIMAL, x, float(c @ x))
 
 
@@ -288,8 +298,10 @@ def convex_combination_certificate(
 
     Builds the slack LP: variables (x over other rows, y over columns),
     constraints x.W + y = rows[s] and sum(x) + sum(y) = 1, objective
-    min sum(y).  Accepts iff the optimum exists and is <= tol.lp; the
-    returned vector is indexed over the rows with s removed.
+    min sum(y).  Accepts iff the optimum exists and is <= tol.lp and the
+    coefficients (the LP's, or else the nonnegative least-squares mixture
+    started from them) sum to 1 and reproduce rows[s] to 10 tol.lp relative to
+    the rows; the returned vector is indexed over the rows with s removed.
     """
     t = resolve(tol)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -300,20 +312,57 @@ def convex_combination_certificate(
     w = rows[others]  # (n-1) x k
     m = n - 1
     target = rows[s]
-    a_eq = np.zeros((k + 1, m + k))
-    for j in range(k):
-        a_eq[j, :m] = w[:, j]
-        a_eq[j, m + j] = 1.0
-    a_eq[k, :] = 1.0
+    a_eq = np.ones((k + 1, m + k))
+    a_eq[:k, :m] = w.T
+    a_eq[:k, m:] = np.eye(k)
     b_eq = np.concatenate([target, [1.0]])
     c = np.concatenate([np.zeros(m), np.ones(k)])
     sol = lp_solve(LpProblem(c, a_eq, b_eq), tol)
     if sol.status != OPTIMAL or sol.objective is None or sol.objective > t.lp:
         return None
+    scale = t.lp * max(1.0, norm_abs(rows)) * 10.0
+
+    def reproduces(coeffs) -> bool:
+        if abs(coeffs.sum() - 1.0) > max(t.lp * 10.0, t.sum):
+            return False
+        return (norm_abs(target - coeffs @ w) if k else 0.0) <= scale
+
     coeffs = np.clip(sol.x[:m], 0.0, None)
-    if abs(coeffs.sum() - 1.0) > max(t.lp * 10.0, t.sum):
-        return None
-    residual = norm_abs(target - coeffs @ w) if k else 0.0
-    if residual > t.lp * max(1.0, norm_abs(rows)) * 10.0:
-        return None
-    return coeffs
+    if reproduces(coeffs):
+        return coeffs
+    # On an ill-conditioned basis the tableau can lose digits although the
+    # LP is right that a mixture exists: solve for it again on the original
+    # rows, as the nonnegative least-squares fit of [W^T; 1] x = [rows[s]; 1]
+    # started from the LP's coefficients.
+    coeffs = _nnls(np.vstack([w.T, np.ones(m)]), np.append(target, 1.0), coeffs)
+    return coeffs if reproduces(coeffs) else None
+
+
+def _nnls(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """argmin |a.x - b| over x >= 0, by the active-set method of Lawson & Hanson
+    (1974) started from the feasible point x and its support."""
+    n = a.shape[1]
+    tol = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
+    x = np.clip(x, 0.0, None)
+    passive = x > 0.0
+    for _ in range(3 * n):
+        # least squares on the passive set, stepping back towards x and
+        # freeing the variables that reach 0 until the fit is positive
+        while True:
+            z = np.zeros(n)
+            if passive.any():
+                z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if not passive.any() or z[passive].min() > 0.0:
+                break
+            down = passive & (z <= 0.0)
+            alpha = np.min(x[down] / np.maximum(x[down] - z[down], np.finfo(float).tiny))
+            x += alpha * (z - x)
+            passive &= x > tol
+        x = z
+        grad = a.T @ (b - a @ x)
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= 0.0:
+            break
+        passive[j] = True
+    return x

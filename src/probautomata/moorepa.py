@@ -105,15 +105,13 @@ def remove_convex_state_avg(
 
 
 def reduce_avg(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
-    """Strip unreachable states and eliminate convex combinations to a fixed point."""
-    t = resolve(tol)
-    current = moore_reachable_part(a, t)
-    while True:
-        hit = find_convex_state_avg(current, t)
-        if hit is None:
-            return current
-        s, coeffs = hit
-        current = moore_reachable_part(remove_convex_state_avg(current, s, coeffs, t), t)
+    """Strip unreachable states and eliminate convex combinations in one pass.
+
+    One averaged basis and one downward scan (`kernel.reduce_convex`): a fold
+    leaves the surviving states' rows unchanged and only shrinks the hull,
+    so no state needs a second look.
+    """
+    return a._like(*kernel.reduce_convex(a._letters, a.initial, a.lam, resolve(tol)))
 
 
 # --- classification of general automata --------------------------------------

@@ -49,6 +49,133 @@ def grid_convex_certificate(rows: np.ndarray, s: int, step: float = 1e-3,
     return None
 
 
+def bfs_lp_optimum(c, a_eq, b_eq, tol: float = 1e-9):
+    """min c.x over a_eq.x = b_eq, x >= 0, by enumerating basic feasible solutions.
+
+    Drops linearly dependent rows first (the system must be consistent),
+    then solves every nonsingular square column subset.  Only for bounded
+    problems: the minimum over the vertices is then the optimum.  Returns
+    None when no basic solution is feasible.
+    """
+    c, a, b = (np.asarray(v, dtype=float) for v in (c, a_eq, b_eq))
+    rows = []
+    for i in range(a.shape[0]):
+        if np.linalg.matrix_rank(a[rows + [i]]) > len(rows):
+            rows.append(i)
+    a, b = a[rows], b[rows]
+    best = None
+    for cols in itertools.combinations(range(a.shape[1]), len(rows)):
+        sub = a[:, cols]
+        if np.linalg.matrix_rank(sub) < len(rows):
+            continue
+        x = np.zeros(a.shape[1])
+        x[list(cols)] = np.linalg.solve(sub, b)
+        if x.min() >= -tol:
+            value = float(c @ x)
+            best = value if best is None else min(best, value)
+    return best
+
+
+def brute_nnls_residual(a, b) -> float:
+    """min |a.x - b| over x >= 0, by least squares on every column subset.
+
+    The optimum is the unconstrained fit on its own support, so the best
+    nonnegative subset fit is the optimum.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    best = float(np.linalg.norm(b))
+    for size in range(1, a.shape[1] + 1):
+        for cols in itertools.combinations(range(a.shape[1]), size):
+            x = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            if x.min() >= 0.0:
+                best = min(best, float(np.linalg.norm(a[:, cols] @ x - b)))
+    return best
+
+
+def loop_subspace_accepts(vectors, rank_tol: float = 1e-9) -> list[bool]:
+    """Reference rank test: modified Gram-Schmidt, one vector at a time.
+
+    Returns each vector's verdict (did it extend the span) under the same
+    threshold as `linalg.Subspace`.
+    """
+    basis, verdicts = [], []
+    for v in vectors:
+        v = np.asarray(v, dtype=float)
+        r = v.copy()
+        for _ in range(2):
+            for b in basis:
+                r -= (r @ b) * b
+        nrm = float(np.linalg.norm(r))
+        ok = len(basis) < v.size and nrm > rank_tol * max(1.0, float(np.linalg.norm(v)))
+        if ok:
+            basis.append(r / nrm)
+        verdicts.append(ok)
+    return verdicts
+
+
+def loop_lp_solve(c, a_eq, b_eq, tol: float = 1e-9):
+    """Reference two-phase simplex with Bland's rule, one row at a time.
+
+    Returns (status, x): status "optimal", "infeasible" or "unbounded".
+    """
+    def pivot_loop(tab, basis, n_cols):
+        m = len(basis)
+        while True:
+            entering = next((j for j in range(n_cols) if tab[-1, j] < -tol), -1)
+            if entering < 0:
+                return "optimal"
+            leaving, best = -1, np.inf
+            for i in range(m):
+                if tab[i, entering] > tol:
+                    ratio = tab[i, -1] / tab[i, entering]
+                    if ratio < best - tol or (
+                        abs(ratio - best) <= tol and (leaving < 0 or basis[i] < basis[leaving])
+                    ):
+                        leaving, best = i, ratio
+            if leaving < 0:
+                return "unbounded"
+            pivot_row(tab, leaving, entering)
+            basis[leaving] = entering
+
+    def pivot_row(tab, row, col):
+        tab[row] /= tab[row, col]
+        for i in range(tab.shape[0]):
+            if i != row and tab[i, col] != 0.0:
+                tab[i] -= tab[i, col] * tab[row]
+
+    c, a, b = (np.array(v, dtype=float) for v in (c, a_eq, b_eq))
+    m, n = a.shape
+    a[b < 0] *= -1.0
+    b = np.abs(b)
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n], tab[:m, n:n + m], tab[:m, -1] = a, np.eye(m), b
+    tab[-1, :n], tab[-1, -1] = -a.sum(axis=0), -b.sum()
+    basis = list(range(n, n + m))
+    if pivot_loop(tab, basis, n + m) != "optimal" or -tab[-1, -1] > tol:
+        return "infeasible", None
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if abs(tab[i, j]) > tol), -1)
+            if col < 0:
+                continue
+            pivot_row(tab, i, col)
+            basis[i] = col
+        keep.append(i)
+    tab2 = np.zeros((len(keep) + 1, n + 1))
+    tab2[:-1, :n], tab2[:-1, -1] = tab[keep, :n], tab[keep, -1]
+    basis2 = [basis[i] for i in keep]
+    tab2[-1, :n] = c
+    for i, bi in enumerate(basis2):
+        tab2[-1] -= tab2[-1, bi] * tab2[i]
+    if pivot_loop(tab2, basis2, n) == "unbounded":
+        return "unbounded", None
+    x = np.zeros(n)
+    for i, bi in enumerate(basis2):
+        x[bi] = tab2[i, -1]
+    return "optimal", x
+
+
 def table_convolve(f: dict, g: dict, words) -> dict:
     """Cauchy product by explicit summation over all factorizations."""
     out = {}

@@ -21,7 +21,13 @@ from probautomata.linalg import (
 )
 
 from gen import random_positive_stochastic, random_stochastic
-from oracles import grid_convex_certificate
+from oracles import (
+    bfs_lp_optimum,
+    brute_nnls_residual,
+    grid_convex_certificate,
+    loop_lp_solve,
+    loop_subspace_accepts,
+)
 
 
 def test_norm_abs():
@@ -89,6 +95,33 @@ def test_subspace_never_exceeds_ambient(seed, n, attempts):
     assert s.dim <= n
 
 
+def test_subspace_grows_past_its_first_block():
+    rng = np.random.default_rng(4)
+    s = Subspace(20)
+    first = None
+    for i in range(25):
+        s.try_add(rng.normal(size=20))
+        if i == 2:
+            first = s.basis.copy(), s.basis
+    assert s.dim == 20
+    assert s.basis @ s.basis.T == pytest.approx(np.eye(20), abs=1e-12)
+    # accepted rows never change, and views taken earlier stay valid
+    assert np.array_equal(s.basis[:3], first[0])
+    assert np.array_equal(first[1], first[0])
+    assert s.contains(rng.normal(size=20))
+    with pytest.raises(ValueError):
+        s.basis[0, 0] = 1.0  # read-only view
+
+
+def test_subspace_contains_only_the_span():
+    s = Subspace(4)
+    assert s.try_add([1.0, 1.0, 0.0, 0.0])
+    assert s.try_add([0.0, 1.0, 1.0, 0.0])
+    assert s.contains([1.0, 2.0, 1.0, 0.0])
+    assert not s.contains([0.0, 0.0, 0.0, 1.0])
+    assert s.basis.shape == (2, 4)
+
+
 def test_lp_simple_optimum():
     # min y  s.t.  x + y = 1
     sol = lp_solve(LpProblem(c=[0.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
@@ -106,6 +139,107 @@ def test_lp_unbounded():
     # min -x1  s.t.  x1 - x2 = 0
     sol = lp_solve(LpProblem(c=[-1.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[0.0]))
     assert sol.status == UNBOUNDED
+
+
+def test_lp_beale_cycling_example_terminates():
+    # Beale (1955): the textbook largest-coefficient rule cycles on this
+    # degenerate LP; Bland's rule must reach the optimum -5/4 at
+    # x4 = x6 = 1, x1 = 3/4
+    c = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
+    a_eq = [[1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]]
+    b_eq = [0.0, 0.0, 1.0]
+    sol = lp_solve(LpProblem(c, a_eq, b_eq))
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(-1.25, abs=1e-12)
+    assert sol.x == pytest.approx([0.75, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0], abs=1e-12)
+    assert bfs_lp_optimum(c, a_eq, b_eq) == pytest.approx(-1.25, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 2), st.booleans())
+def test_lp_matches_basic_solution_enumeration(seed, m, extra, integral):
+    # feasible (b = A.x0 with x0 >= 0) and bounded (the last row fixes
+    # sum(x)) LPs; small integer entries make degenerate ties, dependent
+    # rows and singular column subsets common
+    rng = np.random.default_rng(seed)
+    n = min(m + extra + 1, 6)
+    if integral:
+        a = rng.integers(-2, 3, (m, n)).astype(float)
+        x0 = rng.integers(0, 3, n).astype(float)
+        c = rng.integers(-3, 4, n).astype(float)
+    else:
+        a = rng.normal(size=(m, n))
+        x0 = rng.random(n) * (rng.random(n) < 0.7)
+        c = rng.normal(size=n)
+    a[-1] = 1.0
+    x0[0] += 1.0  # sum(x) > 0
+    b = a @ x0
+    sol = lp_solve(LpProblem(c, a, b))
+    expected = bfs_lp_optimum(c, a, b)
+    assert expected is not None
+    assert sol.status == OPTIMAL
+    scale = max(1.0, float(np.abs(c).max()) * float(x0.sum()))
+    assert sol.objective == pytest.approx(expected, abs=1e-8 * scale)
+    assert sol.x.min() >= -1e-9  # feasible to the LP tolerance
+    assert a @ sol.x == pytest.approx(b, abs=1e-8 * max(1.0, float(np.abs(b).max())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 8))
+def test_lp_matches_the_row_loop_reference(seed, m, n):
+    # arbitrary signs and small integers: infeasible, unbounded and
+    # degenerate problems as well as optimal ones
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-2, 3, (m, n)).astype(float)
+    b = rng.integers(-2, 3, m).astype(float)
+    c = rng.integers(-2, 3, n).astype(float)
+    sol = lp_solve(LpProblem(c, a, b))
+    status, x = loop_lp_solve(c, a, b)
+    assert sol.status == status
+    if status == OPTIMAL:
+        assert sol.x == pytest.approx(x, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+def test_subspace_matches_the_gram_schmidt_loop_reference(seed, n):
+    # random vectors, exact combinations of earlier ones and nearly
+    # dependent ones, so that both verdicts occur
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for _ in range(2 * n):
+        kind = rng.integers(3)
+        if kind == 0 or not vectors:
+            vectors.append(rng.normal(size=n) * 10.0 ** rng.integers(-3, 3))
+        else:
+            mix = rng.normal(size=len(vectors)) @ np.array(vectors)
+            noise = (kind == 2) * 1e-6 * np.linalg.norm(mix) * rng.normal(size=n)
+            vectors.append(mix + noise)
+    s = Subspace(n)
+    verdicts = [s.try_add(v) for v in vectors]
+    assert verdicts == loop_subspace_accepts(vectors)
+    # the directions of nearly dependent vectors are ill-conditioned, so
+    # the bases are compared by what they must be: orthonormal, spanning
+    # every vector tried
+    q = s.basis
+    assert q @ q.T == pytest.approx(np.eye(s.dim), abs=1e-12)
+    for v in vectors:
+        assert np.linalg.norm(v - (q @ v) @ q) <= 1e-9 * max(1.0, np.linalg.norm(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+def test_nnls_matches_subset_enumeration(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(rows, cols))
+    b = rng.normal(size=rows)
+    best = brute_nnls_residual(a, b)
+    for start in (np.zeros(cols), rng.random(cols) * (rng.random(cols) < 0.5)):
+        x = linalg._nnls(a, b, start)
+        assert x.min() >= 0.0
+        assert np.linalg.norm(a @ x - b) == pytest.approx(best, abs=1e-9)
 
 
 def test_lp_three_row_convex_instance():

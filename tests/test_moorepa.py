@@ -13,12 +13,23 @@ from probautomata import (
     classify,
     dfa_reachable_part,
     dfa_to_pa,
+    linalg,
     moore_to_general,
     reduce_avg,
 )
-from probautomata.moorepa import find_convex_state_avg, moore_reachable_part
+from probautomata.moorepa import (
+    find_convex_state_avg,
+    moore_reachable_part,
+    remove_convex_state_avg,
+)
 
-from gen import plant_convex_state, plant_unreachable_state, random_moore_pa
+from gen import (
+    plant_convex_state,
+    plant_unreachable_state,
+    random_distribution,
+    random_moore_pa,
+    random_stochastic,
+)
 from oracles import cantor_base3, enumerate_words
 
 
@@ -119,6 +130,81 @@ def test_reduce_avg_planted(cantor):
         assert avg_reaction(reduced, u) == pytest.approx(
             avg_reaction(inflated, u), abs=1e-9
         )
+
+
+def _planted(seed: int, base_states: int, planted: int) -> MoorePA:
+    rng = np.random.default_rng(seed)
+    a = random_moore_pa(rng, base_states, 2)
+    for _ in range(planted):
+        a = plant_convex_state(rng, a)
+    return plant_unreachable_state(rng, a)
+
+
+def _relabel(a: MoorePA, order) -> MoorePA:
+    """State i of the result is state order[i] of a."""
+    trans = {x: a.matrix(x)[np.ix_(order, order)] for x in a.inputs}
+    return MoorePA(a.inputs, trans, a.initial[order], a.lam[order])
+
+
+def test_reduce_avg_makes_at_most_one_certificate_per_state(monkeypatch):
+    # planted states first, so that a top-down rescan after each fold would
+    # try every base state again
+    a = _planted(21, 6, 3)
+    a = _relabel(a, np.arange(a.n_states)[::-1])
+    calls = []
+    certificate = linalg.convex_combination_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return certificate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "convex_combination_certificate", counted)
+    reduced = reduce_avg(a)
+    assert reduced.n_states <= 6
+    assert 0 < len(calls) <= a.n_states  # the fixed point needed O(n^2) here
+    monkeypatch.undo()
+    assert avg_equivalent(a, reduced)
+
+
+def test_certificates_survive_an_ill_conditioned_basis():
+    # 35 states with half-zero letters and three planted mixtures, shuffled:
+    # the averaged basis is ill-conditioned, and the simplex tableau loses
+    # digits on the planted state at index 16 although it finds the mixture
+    rng = np.random.default_rng(99)
+    n, inputs = 35, ("a", "b")
+    a = MoorePA(inputs, {x: random_stochastic(rng, n, 0.5) for x in inputs},
+                random_distribution(rng, n), rng.random(n))
+    for _ in range(3):
+        a = plant_convex_state(rng, a)
+    order = rng.permutation(n + 3)
+    a = _relabel(a, order)
+    basis, _ = avg_basis_matrix(a)
+    planted = np.flatnonzero(order >= n)
+    assert 16 in planted
+    for s in planted:
+        coeffs = linalg.convex_combination_certificate(basis, s)
+        assert coeffs is not None
+        assert np.abs(basis[s] - coeffs @ np.delete(basis, s, axis=0)).max() <= 1e-8
+    reduced = reduce_avg(a)
+    assert reduced.n_states == n
+    assert avg_equivalent(a, reduced)
+
+
+def _reduce_avg_fixed_point(a: MoorePA) -> MoorePA:
+    """The reduction as a fixed point of the public find/remove/reachable steps."""
+    current = moore_reachable_part(a)
+    while (hit := find_convex_state_avg(current)) is not None:
+        current = moore_reachable_part(remove_convex_state_avg(current, *hit))
+    return current
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_reduce_avg_one_pass_against_the_fixed_point(seed):
+    a = _planted(seed, 3 + seed % 6, 1 + seed % 3)
+    reduced = reduce_avg(a)
+    reduced.validate()
+    assert reduced.n_states <= _reduce_avg_fixed_point(a).n_states
+    assert avg_equivalent(a, reduced)
 
 
 def test_moore_reachable_part():
