@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import io as pio
-from .dfa import Dfa, dfa_to_dot
+from .dfa import Dfa, dfa_minimize, dfa_to_dot
 from .generalpa import GeneralPA, reaction, reduce as reduce_general, equivalent
 from .languages import (
     POSITIVE_WORD_STABLE,
@@ -41,7 +41,7 @@ from .linauto import (
 )
 from .moorepa import MoorePA, avg_equivalent, avg_reaction, reduce_avg
 from .sequences import MarkovChain, RandomSequence, mc_function, transform
-from .tolerances import Tolerances, get_default, set_default
+from .tolerances import Tolerances
 
 
 def fmt(x: float) -> str:
@@ -62,9 +62,9 @@ class CliError(Exception):
         self.code = code
 
 
-def _load(path: str):
+def _load(path: str, tol: Tolerances | None):
     try:
-        return pio.load(path)
+        return pio.load(path, tol)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
     except pio.SchemaError as exc:
@@ -103,7 +103,7 @@ def _word(obj, text: str):
 
 
 def cmd_validate(args) -> int:
-    obj = _load(args.file)
+    obj = _load(args.file, args.tol)
     doc = pio.to_document(obj)
     detail = ""
     if isinstance(obj, (GeneralPA, MoorePA, LinearAutomaton)):
@@ -117,7 +117,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_react(args) -> int:
-    obj = _expect(_load(args.file), (GeneralPA, MoorePA, LinearAutomaton), args.file)
+    obj = _expect(_load(args.file, args.tol), (GeneralPA, MoorePA, LinearAutomaton), args.file)
     u = _word(obj, args.input)
     if isinstance(obj, GeneralPA):
         if args.output is None:
@@ -132,25 +132,26 @@ def cmd_react(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    obj = _expect(_load(args.file), (GeneralPA, MoorePA), args.file)
+    obj = _expect(_load(args.file, args.tol), (GeneralPA, MoorePA), args.file)
     before = obj.initial.size
-    reduced = reduce_general(obj) if isinstance(obj, GeneralPA) else reduce_avg(obj)
+    reduce = reduce_general if isinstance(obj, GeneralPA) else reduce_avg
+    reduced = reduce(obj, args.tol)
     pio.save(reduced, args.output)
     print(f"states: {before} -> {reduced.initial.size}")
     return 0
 
 
 def cmd_equiv(args) -> int:
-    a = _load(args.a)
-    b = _load(args.b)
+    a = _load(args.a, args.tol)
+    b = _load(args.b, args.tol)
     if type(a) is not type(b):
         raise CliError("cannot compare automata of different kinds")
     if isinstance(a, GeneralPA):
-        same = equivalent(a, b)
+        same = equivalent(a, b, args.tol)
     elif isinstance(a, MoorePA):
-        same = avg_equivalent(a, b)
+        same = avg_equivalent(a, b, args.tol)
     elif isinstance(a, LinearAutomaton):
-        same = la_equivalent(a, b)
+        same = la_equivalent(a, b, args.tol)
     else:
         raise CliError("equiv supports general_pa, moore_pa and linear_automaton")
     print("equivalent" if same else "not equivalent")
@@ -158,7 +159,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_lang_member(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
     u = _word(a, args.input)
     hit = member(a, args.cutpoint, u)
     print("member" if hit else "not member")
@@ -166,14 +167,14 @@ def cmd_lang_member(args) -> int:
 
 
 def cmd_lang_enum(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
     for u in enumerate_members(a, args.cutpoint, args.max_len):
         print(fmt_word(u))
     return 0
 
 
 def cmd_lang_shift(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
     shifted = shift_cutpoint(a, args.src_cut, args.dst_cut)
     pio.save(shifted, args.output)
     print(f"cutpoint: {fmt(args.src_cut)} -> {fmt(args.dst_cut)}; states: "
@@ -182,7 +183,7 @@ def cmd_lang_shift(args) -> int:
 
 
 def cmd_isolate(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
     try:
         report = isolation_scan(a, args.cutpoint, args.delta, args.max_len)
     except ValueError as exc:
@@ -195,9 +196,9 @@ def cmd_isolate(args) -> int:
 
 
 def cmd_extract_dfa(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
     raw = extract_dfa(a, args.cutpoint, args.delta, minimize=False)
-    minimized = extract_dfa(a, args.cutpoint, args.delta)
+    minimized = dfa_minimize(raw)
     bound = extraction_state_bound(a.n_states, args.delta)
     print(f"states: raw={raw.n_states} minimized={minimized.n_states} bound={fmt(bound)}")
     if args.dot:
@@ -209,8 +210,8 @@ def cmd_extract_dfa(args) -> int:
 
 
 def cmd_ergodic(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
-    ok, witness = ergodic_test(a)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
+    ok, witness = ergodic_test(a, args.tol)
     if ok:
         print("ergodic")
         return 0
@@ -219,8 +220,8 @@ def cmd_ergodic(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
-    report = stability_check(a)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
+    report = stability_check(a, args.tol)
     if report.status == STABLE_ALL:
         print("stable (all letter matrices contract)")
         return 0
@@ -232,8 +233,8 @@ def cmd_stable(args) -> int:
 
 
 def cmd_definite(args) -> int:
-    a = _expect(_load(args.file), MoorePA, args.file)
-    rep = definite_rep(a, args.cutpoint, args.delta)
+    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
+    rep = definite_rep(a, args.cutpoint, args.delta, tol=args.tol)
     if rep is None:
         print("not derivable (needs positive matrices or ergodicity)")
         return 1
@@ -247,17 +248,17 @@ LA_UNARY = {"scale": "scale", "rev": "reverse", "iter": "iterate"}
 
 
 def cmd_la_op(args) -> int:
-    a = _expect(_load(args.a), LinearAutomaton, args.a)
+    a = _expect(_load(args.a, args.tol), LinearAutomaton, args.a)
     if args.op in LA_BINARY:
         if args.b is None:
             raise CliError(f"la op {args.op} needs two operands")
-        b = _expect(_load(args.b), LinearAutomaton, args.b)
+        b = _expect(_load(args.b, args.tol), LinearAutomaton, args.b)
         out = la_combine(LA_BINARY[args.op], a, b)
     else:
         if args.op == "scale" and args.scalar is None:
             raise CliError("la op scale needs --scalar")
         try:
-            out = la_unary(LA_UNARY[args.op], a, a=args.scalar)
+            out = la_unary(LA_UNARY[args.op], a, a=args.scalar, tol=args.tol)
         except ValueError as exc:
             raise CliError(str(exc)) from None
     pio.save(out, args.output)
@@ -266,9 +267,9 @@ def cmd_la_op(args) -> int:
 
 
 def cmd_la_realize(args) -> int:
-    table = _expect(_load(args.file), StringFunctionTable, args.file)
+    table = _expect(_load(args.file, args.tol), StringFunctionTable, args.file)
     try:
-        out = realize(table)
+        out = realize(table, tol=args.tol)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     pio.save(out, args.output)
@@ -277,43 +278,43 @@ def cmd_la_realize(args) -> int:
 
 
 def cmd_la_rank(args) -> int:
-    table = _expect(_load(args.file), StringFunctionTable, args.file)
-    print(e_f_dimension(table))
+    table = _expect(_load(args.file, args.tol), StringFunctionTable, args.file)
+    print(e_f_dimension(table, tol=args.tol))
     return 0
 
 
 def cmd_la_expr(args) -> int:
-    a = _expect(_load(args.file), LinearAutomaton, args.file)
+    a = _expect(_load(args.file, args.tol), LinearAutomaton, args.file)
     print(to_sexpr(la_to_rational_expr(a)))
     return 0
 
 
 def cmd_la_embed_pa(args) -> int:
-    a = _expect(_load(args.file), LinearAutomaton, args.file)
-    pa, scale = la_to_pa_affine(a)
+    a = _expect(_load(args.file, args.tol), LinearAutomaton, args.file)
+    pa, scale = la_to_pa_affine(a, args.tol)
     pio.save(pa, args.output)
     print(f"states: {pa.n_states} scale: {fmt(scale)} offset: {fmt(1.0 / (a.dim + 2))}")
     return 0
 
 
 def cmd_la_lang_pa(args) -> int:
-    a = _expect(_load(args.file), LinearAutomaton, args.file)
-    pa, cut = la_language_pa(a, args.cutpoint)
+    a = _expect(_load(args.file, args.tol), LinearAutomaton, args.file)
+    pa, cut = la_language_pa(a, args.cutpoint, args.tol)
     pio.save(pa, args.output)
     print(f"states: {pa.n_states} cutpoint: {fmt(cut)}")
     return 0
 
 
 def cmd_mc_eval(args) -> int:
-    chain = _expect(_load(args.file), MarkovChain, args.file)
+    chain = _expect(_load(args.file, args.tol), MarkovChain, args.file)
     u = _word(chain, args.input)
     print(fmt(mc_function(chain, u)))
     return 0
 
 
 def cmd_rs_transform(args) -> int:
-    zeta = _expect(_load(args.seq), RandomSequence, args.seq)
-    a = _expect(_load(args.pa), GeneralPA, args.pa)
+    zeta = _expect(_load(args.seq, args.tol), RandomSequence, args.seq)
+    a = _expect(_load(args.pa, args.tol), GeneralPA, args.pa)
     try:
         image = transform(zeta, a)
     except ValueError as exc:
@@ -456,20 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    previous = get_default()
+    args.tol = None
     if args.tolerance is not None:
         if args.tolerance <= 0:
             print("tolerance must be positive", file=sys.stderr)
             return 2
         eps = args.tolerance
-        set_default(Tolerances(zero=eps, sum=eps, nonneg=eps, rank=eps, lp=eps))
+        args.tol = Tolerances(zero=eps, sum=eps, nonneg=eps, rank=eps, lp=eps)
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    finally:
-        set_default(previous)
 
 
 if __name__ == "__main__":

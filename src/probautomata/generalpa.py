@@ -174,7 +174,7 @@ def tables_agree(f: ReactionTable, g: ReactionTable, tol: Tolerances | None = No
     depth = min(f.depth, g.depth)
     for k in range(depth + 1):
         for u, v in f.pairs(k):
-            if abs(f.value(u, v) - g.value(u, v)) > max(t.zero * 100.0, 1e-10):
+            if abs(f.value(u, v) - g.value(u, v)) > t.zero * 100.0:
                 return False
     return True
 
@@ -293,7 +293,7 @@ def remove_convex_state(
     basis, _ = basis_matrix(a, t)
     others = np.delete(np.arange(a.n_states), s)
     residual_err = linalg.norm_abs(basis[s] - np.asarray(coeffs, dtype=float) @ basis[others])
-    if residual_err > max(t.lp * 100.0, 1e-8) * max(1.0, linalg.norm_abs(basis)):
+    if residual_err > t.lp * 100.0 * max(1.0, linalg.norm_abs(basis)):
         raise ValueError("certificate does not reproduce the basis row")
     return a._like(letters, init)
 

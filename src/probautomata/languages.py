@@ -145,8 +145,7 @@ def isolation_scan(a: MoorePA, cutpoint: float, delta: float, max_len: int) -> I
 
 # --- DFA extraction under isolation ---------------------------------------------
 
-def extract_dfa(a: MoorePA, cutpoint: float, delta: float,
-                minimize: bool = True, tol: Tolerances | None = None) -> Dfa:
+def extract_dfa(a: MoorePA, cutpoint: float, delta: float, minimize: bool = True) -> Dfa:
     """Regular-language extraction assuming the cut point is delta-isolated.
 
     Breadth-first search over the state-distribution rows xi . A^u; a row is
@@ -168,12 +167,10 @@ def extract_dfa(a: MoorePA, cutpoint: float, delta: float,
         i = frontier.pop(0)
         for x in a.inputs:
             row = reps[i] @ a.matrix(x)
-            target = None
-            for j, r in enumerate(reps):
-                if float(np.max(np.abs(row - r))) <= radius:
-                    target = j
-                    break
-            if target is None:
+            near = np.flatnonzero(np.abs(np.array(reps) - row).max(axis=1) <= radius)
+            if near.size:
+                target = int(near[0])
+            else:
                 reps.append(row)
                 target = len(reps) - 1
                 frontier.append(target)
@@ -237,6 +234,7 @@ def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = N
     The bound on the spread norm of word matrices is validated exhaustively
     for all words of length <= check_len before returning.
     """
+    t = resolve(tol)
     c = min(float(a.matrix(x).min()) for x in a.inputs)
     base = max(0.0, 1.0 - 2.0 * c)
 
@@ -246,7 +244,7 @@ def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = N
     for k in range(1, check_len + 1):
         for u in words_of_length(a.inputs, k):
             spread = linalg.norm_spread(a.word_matrix(u))
-            if spread > bound(k) + 1e-12:
+            if spread > bound(k) + t.zero:
                 raise AssertionError(
                     f"contraction bound violated at {u!r}: {spread} > {bound(k)}"
                 )

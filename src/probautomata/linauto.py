@@ -75,9 +75,6 @@ class StringFunctionTable:
             raise KeyError(f"word beyond table depth {self.depth}: {u}")
         return self.values.get(u, 0.0)
 
-    def words(self):
-        return words_upto(self.alphabet, self.depth)
-
     def _binary(self, other: "StringFunctionTable"):
         if self.alphabet != other.alphabet:
             raise ValueError("alphabet mismatch")
@@ -96,11 +93,6 @@ class StringFunctionTable:
             self.alphabet, self.depth, {u: a * v for u, v in self.values.items()}
         )
 
-    def pointwise_mul(self, other: "StringFunctionTable") -> "StringFunctionTable":
-        depth = self._binary(other)
-        vals = {u: self.value(u) * other.value(u) for u in words_upto(self.alphabet, depth)}
-        return StringFunctionTable(self.alphabet, depth, vals)
-
     def convolve(self, other: "StringFunctionTable") -> "StringFunctionTable":
         """Cauchy product over all factorizations u = u1 u2."""
         depth = self._binary(other)
@@ -110,11 +102,6 @@ class StringFunctionTable:
                 self.value(u[:k]) * other.value(u[k:]) for k in range(len(u) + 1)
             )
         return StringFunctionTable(self.alphabet, depth, vals)
-
-    def reverse(self) -> "StringFunctionTable":
-        return StringFunctionTable(
-            self.alphabet, self.depth, {tuple(reversed(u)): v for u, v in self.values.items()}
-        )
 
     def inverse(self, tol: Tolerances | None = None) -> "StringFunctionTable":
         """Convolution inverse, defined when f(eps) != 0.
@@ -683,8 +670,7 @@ def la_language_pa(l: LinearAutomaton, a: float, tol: Tolerances | None = None) 
     return pa, cut
 
 
-def laf_from_level_dfas(levels: list[tuple[float, Dfa]], check_depth: int = 4,
-                        tol: Tolerances | None = None) -> LinearAutomaton:
+def laf_from_level_dfas(levels: list[tuple[float, Dfa]], check_depth: int = 4) -> LinearAutomaton:
     """Step function taking value a_i exactly on the i-th DFA's language.
 
     The DFAs must partition the set of words; the partition property is

@@ -97,9 +97,7 @@ def find_convex_state_avg(a: MoorePA, tol: Tolerances | None = None):
     return kernel.convex_state(basis, t)
 
 
-def remove_convex_state_avg(
-    a: MoorePA, s: int, coeffs: np.ndarray, tol: Tolerances | None = None
-) -> MoorePA:
+def remove_convex_state_avg(a: MoorePA, s: int, coeffs: np.ndarray) -> MoorePA:
     """Fold the convex state into the mixture: B^x = (E 0) A^x (E ; xi)."""
     return a._like(*kernel.fold(a._letters, a.initial, a.lam, s, coeffs))
 
@@ -130,7 +128,7 @@ def classify(a: GeneralPA, tol: Tolerances | None = None) -> Classification:
     output classifies as MEALY.
     """
     t = resolve(tol)
-    slack = max(t.sum * 100.0, 1e-9)
+    slack = t.sum * 100.0
     pairs = a._letters.reshape(len(a.inputs), len(a.outputs), a.n_states, a.n_states)
     delta = pairs.sum(axis=1)   # [x, s, s']: the input matrices
     lam = pairs.sum(axis=3)     # [x, y, s]: the output law

@@ -124,7 +124,7 @@ class PairedSequence:
         return self
 
 
-def pair_from(zeta: RandomSequence, a: GeneralPA, tol: Tolerances | None = None) -> PairedSequence:
+def pair_from(zeta: RandomSequence, a: GeneralPA) -> PairedSequence:
     """Couple a source sequence with an automaton: eta(u, v) = zeta(u) f_A(u, v)."""
     if tuple(a.inputs) != tuple(zeta.alphabet):
         raise ValueError("automaton input alphabet does not match the sequence")
@@ -153,9 +153,9 @@ def marginals(eta: PairedSequence) -> tuple[RandomSequence, RandomSequence]:
     )
 
 
-def transform(zeta: RandomSequence, a: GeneralPA, tol: Tolerances | None = None) -> RandomSequence:
+def transform(zeta: RandomSequence, a: GeneralPA) -> RandomSequence:
     """Output marginal of the coupling: the sequence zeta pushed through A."""
-    return marginals(pair_from(zeta, a, tol))[1]
+    return marginals(pair_from(zeta, a))[1]
 
 
 # --- Markov chains -----------------------------------------------------------

@@ -3,7 +3,9 @@
 Everything is computed in 64-bit floats, so every predicate ("is this a
 distribution", "is this row a convex combination", ...) needs a threshold.
 Keeping them all in one value makes every test assertable against one
-documented set of numbers, and lets the CLI override them globally.
+documented set of numbers.  A caller overrides them by passing its own
+`Tolerances` as the `tol` argument; there is no global override, and
+`tol=None` always means `DEFAULT`.
 """
 from __future__ import annotations
 
@@ -28,18 +30,12 @@ class Tolerances:
     lp: float = 1e-9
 
 
-_default = Tolerances()
+DEFAULT = Tolerances()
 
 
 def get_default() -> Tolerances:
-    return _default
-
-
-def set_default(tol: Tolerances) -> None:
-    """Replace the process-wide default (used by the CLI's --tolerance flag)."""
-    global _default
-    _default = tol
+    return DEFAULT
 
 
 def resolve(tol: Tolerances | None) -> Tolerances:
-    return _default if tol is None else tol
+    return DEFAULT if tol is None else tol

@@ -213,3 +213,26 @@ def cantor_base3(u) -> float:
     for i, digit in enumerate(reversed(tuple(u))):
         val += int(digit) * 3.0 ** (-(i + 1))
     return val
+
+
+def moore_class_count(d) -> int:
+    """Number of Nerode classes of a DFA's reachable states, by Moore refinement.
+
+    Starts from the accepting/rejecting split and refines by the classes of
+    the successors until the number of classes stops growing.
+    """
+    reach = {d.start}
+    frontier = [d.start]
+    while frontier:
+        s = frontier.pop()
+        for x in d.alphabet:
+            t = d.trans[x][s]
+            if t not in reach:
+                reach.add(t)
+                frontier.append(t)
+    cls = {s: s in d.accepting for s in reach}
+    while True:
+        sig = {s: (cls[s],) + tuple(cls[d.trans[x][s]] for x in d.alphabet) for s in reach}
+        if len(set(sig.values())) == len(set(cls.values())):
+            return len(set(cls.values()))
+        cls = sig

@@ -133,6 +133,23 @@ def test_equiv_refuted(tmp_path, capsys):
     assert out == "not equivalent\n"
 
 
+def test_tolerance_must_be_positive(capsys):
+    code, out, err = run(capsys, "--tolerance", "0", "validate", CANTOR)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be positive" in err
+
+
+def test_tolerance_reaches_equiv_for_one_call_only(tmp_path, capsys):
+    doc = json.loads(Path(CANTOR).read_text())
+    doc["lambda"][0] = 1e-7
+    moved = str(tmp_path / "moved.json")
+    Path(moved).write_text(json.dumps(doc))
+    assert run(capsys, "equiv", CANTOR, moved)[:2] == (1, "not equivalent\n")
+    assert run(capsys, "--tolerance", "1e-5", "equiv", CANTOR, moved)[:2] == (0, "equivalent\n")
+    assert run(capsys, "equiv", CANTOR, moved)[:2] == (1, "not equivalent\n")
+
+
 def test_lang_member_and_enum(capsys):
     code, out, _ = run(capsys, "lang", "member", CANTOR, "--cutpoint", "0.5", "--input", "2")
     assert code == 0 and out == "member\n"

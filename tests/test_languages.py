@@ -11,6 +11,7 @@ from probautomata import (
     binarize_output,
     contraction_bound,
     definite_rep,
+    dfa_minimize,
     dfa_reachable_part,
     dfa_to_pa,
     enumerate_members,
@@ -28,7 +29,7 @@ from probautomata.languages import POSITIVE_WORD_STABLE, STABLE_ALL, UNKNOWN
 from probautomata.linalg import norm_spread
 
 from gen import random_moore_pa, random_positive_stochastic
-from oracles import cantor_base3, enumerate_words
+from oracles import cantor_base3, enumerate_words, moore_class_count
 
 
 @pytest.fixture
@@ -173,6 +174,22 @@ def test_isolation_scan_rejects_bad_delta(cantor):
         isolation_scan(cantor, 0.5, 0.0, 3)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_dfa_minimize_matches_moore_refinement(seed):
+    rng = np.random.default_rng(seed)
+    alphabet = ("a", "b", "c")[: int(rng.integers(1, 4))]
+    n = int(rng.integers(1, 13))
+    d = Dfa(
+        alphabet, n, int(rng.integers(n)),
+        {x: tuple(int(q) for q in rng.integers(n, size=n)) for x in alphabet},
+        frozenset(int(q) for q in np.flatnonzero(rng.random(n) < 0.5)),
+    )
+    m = dfa_minimize(d)
+    assert m.n_states == moore_class_count(d)
+    for u in enumerate_words(alphabet, 6):
+        assert m.accepts(u) == d.accepts(u)
+
+
 def test_extract_dfa_cantor(cantor):
     raw = extract_dfa(cantor, 0.5, 1.0 / 6.0, minimize=False)
     assert raw.n_states <= extraction_state_bound(cantor.n_states, 1.0 / 6.0)
@@ -260,6 +277,23 @@ def test_definite_rep_mixer(two_state_mixer):
     for extra in range(3):
         u = ("a",) * (12 + extra)
         assert rep.member(u) == member(two_state_mixer, 0.4, u)
+
+
+def test_definite_rep_ergodic_with_zero_entry():
+    # a has a zero entry, so only the ergodic branch can find k
+    a = MoorePA(
+        ("a", "b"),
+        {"a": np.array([[0.0, 1.0], [0.5, 0.5]]), "b": np.full((2, 2), 0.5)},
+        np.array([1.0, 0.0]),
+        np.array([1.0, 0.0]),
+    ).validate()
+    assert ergodic_test(a) == (True, None)
+    rep = definite_rep(a, 0.4, 0.05)
+    assert rep is not None
+    assert rep.k == 5
+    assert any(rep.suffix_table.values()) and not all(rep.suffix_table.values())
+    for u in enumerate_words(a.inputs, rep.k + 3):
+        assert rep.member(u) == member(a, 0.4, u)
 
 
 def test_definite_rep_trivial_constant():

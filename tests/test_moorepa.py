@@ -6,6 +6,7 @@ from probautomata import (
     Dfa,
     GeneralPA,
     MoorePA,
+    Tolerances,
     avg_basis_matrix,
     avg_equivalent,
     avg_reaction,
@@ -244,6 +245,20 @@ def test_classify_general():
         initial=np.array([1.0, 0.0]),
     )
     assert classify(rabin) is Classification.GENERAL
+
+
+def test_classify_slack_follows_tol():
+    # delta(s, x, s') . lam(s, x, y) with mass 1e-10 moved between two targets
+    delta = np.array([[0.6, 0.4], [0.3, 0.7]])
+    lam = np.array([[0.25, 0.75], [0.5, 0.5]])
+    p = delta * lam[:, 0][:, None]
+    q = delta * lam[:, 1][:, None]
+    p[0] += [1e-10, -1e-10]
+    q[0] += [-1e-10, 1e-10]
+    a = GeneralPA(("x",), ("p", "q"), {("x", "p"): p, ("x", "q"): q},
+                  np.array([1.0, 0.0])).validate()
+    assert classify(a) is Classification.MEALY
+    assert classify(a, Tolerances(sum=1e-13)) is Classification.GENERAL
 
 
 @pytest.fixture
