@@ -1,6 +1,7 @@
 """Deterministic finite automata: reachability, Hopcroft minimization, DOT export."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 Word = tuple[str, ...]
@@ -146,22 +147,11 @@ def dfa_to_dot(d: Dfa, name: str = "dfa") -> str:
 
 def words_upto(alphabet: tuple[str, ...], max_len: int):
     """All words of length <= max_len in shortlex order (alphabet order)."""
-    frontier: list[Word] = [()]
     yield ()
-    for _ in range(max_len):
-        nxt = []
-        for u in frontier:
-            for x in alphabet:
-                w = u + (x,)
-                nxt.append(w)
-                yield w
-        frontier = nxt
+    for length in range(1, max_len + 1):
+        yield from words_of_length(alphabet, length)
 
 
 def words_of_length(alphabet: tuple[str, ...], length: int):
-    if length == 0:
-        yield ()
-        return
-    for u in words_of_length(alphabet, length - 1):
-        for x in alphabet:
-            yield u + (x,)
+    """All words of one length in shortlex order (alphabet order)."""
+    return itertools.product(alphabet, repeat=length)

@@ -106,6 +106,41 @@ def word_product(start, matrices) -> np.ndarray:
     return functools.reduce(np.matmul, matrices, np.asarray(start, dtype=float))
 
 
+WORD_BLOCK_FLOATS = 1 << 14  # floats in one block of `word_matrix_blocks` (128 KiB)
+
+
+def word_matrix_blocks(letters, length: int):
+    """Word matrices L^u of every word u of one length, in shortlex order, in blocks.
+
+    Yields (b, n, n) arrays of consecutive words.  Each matrix is
+    L^{prefix} . L^{last letter}, built from the identity the way
+    `word_product` builds it, so it equals `word_matrix(u)` bit for bit.
+    A block holds at most WORD_BLOCK_FLOATS floats (or the k children of one
+    prefix, when those alone hold more), and the generator keeps one block
+    per level, so memory is O(length * block) and a caller that stops at
+    its first failing block computes only the prefixes that block needs.
+    """
+    k, n, _ = letters.shape
+    if length == 0:
+        yield np.eye(n)[None]
+        return
+    step = max(1, WORD_BLOCK_FLOATS // (k * n * n))  # prefixes per block
+
+    def children(block):
+        for i in range(0, len(block), step):
+            yield np.matmul(block[i:i + step, None], letters[None]).reshape(-1, n, n)
+
+    stack = [children(np.eye(n)[None])]  # stack[j]: the blocks of level j + 1
+    while stack:
+        block = next(stack[-1], None)
+        if block is None:
+            stack.pop()
+        elif len(stack) == length:
+            yield block
+        else:
+            stack.append(children(block))
+
+
 def prefix_values(initial, letters, final, depth: int) -> np.ndarray:
     """initial . L^u . final for every |u| <= depth, indexed by shortlex rank.
 

@@ -7,7 +7,9 @@ assumption, ergodicity and contraction analysis, definiteness, stability.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from types import MappingProxyType
 
 import numpy as np
@@ -131,16 +133,24 @@ def isolation_scan(a: MoorePA, cutpoint: float, delta: float, max_len: int) -> I
     Whether a cut point is genuinely isolated is undecidable, so the result
     is either a concrete refutation witness or a bounded all-clear.
     Distances equal to delta up to a relative guard of 1e-9 count as clear,
-    so exact-boundary instances are not refuted by rounding noise.
+    so exact-boundary instances are not refuted by rounding noise.  The
+    reactions are thresholded as one array in shortlex order; the witness
+    is the first word within the guard.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    table = avg_reaction_table(a, max_len)
-    guard = delta * (1.0 - 1e-9)
-    for u, val in table.items():
-        if abs(val - cutpoint) < guard:
-            return IsolationReport("refuted", delta, max_len, u, val)
+    values = kernel.prefix_values(a.initial, a._letters, a.lam, max_len)
+    hits = np.flatnonzero(np.abs(values - cutpoint) < delta * (1.0 - 1e-9))
+    if hits.size:
+        i = int(hits[0])
+        return IsolationReport("refuted", delta, max_len, _nth(words_upto(a.inputs, max_len), i),
+                               float(values[i]))
     return IsolationReport("clear", delta, max_len)
+
+
+def _nth(words, i: int) -> Word:
+    """The i-th word of a word generator."""
+    return next(islice(words, i, None))
 
 
 # --- DFA extraction under isolation ---------------------------------------------
@@ -154,37 +164,45 @@ def extract_dfa(a: MoorePA, cutpoint: float, delta: float, minimize: bool = True
     continuation w, |f(uw) - f(rw)| <= n^2 |v - r| |lam| <= 2 delta, so
     under delta-isolation the two rows accept exactly the same futures.
     The search terminates because only finitely many radius-separated rows
-    fit in the simplex.  The result is Hopcroft-minimized unless disabled.
+    fit in the simplex.  The representatives are the rows of one growing
+    array, in discovery order, and each successor row is compared with all
+    of them at once.  The result is Hopcroft-minimized unless disabled.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     n = a.n_states
     radius = 2.0 * delta / (n * n * max(1.0, linalg.norm_abs(a.lam)))
-    reps: list[np.ndarray] = [np.array(a.initial)]
+    reps = np.empty((16, n))  # rows 0..count-1 are the representatives
+    reps[0] = a.initial
+    count = 1
     successors: dict[tuple[int, str], int] = {}
-    frontier = [0]
+    frontier = deque([0])
     while frontier:
-        i = frontier.pop(0)
+        i = frontier.popleft()
         for x in a.inputs:
             row = reps[i] @ a.matrix(x)
-            near = np.flatnonzero(np.abs(np.array(reps) - row).max(axis=1) <= radius)
+            near = np.flatnonzero(np.abs(reps[:count] - row).max(axis=1) <= radius)
             if near.size:
                 target = int(near[0])
             else:
-                reps.append(row)
-                target = len(reps) - 1
+                if count == len(reps):
+                    reps = np.concatenate([reps, np.empty_like(reps)])
+                reps[count] = row
+                target = count
+                count += 1
                 frontier.append(target)
             successors[(i, x)] = target
+    reps = reps[:count]
     accepting = {
         i for i, r in enumerate(reps) if float(r @ a.lam) > cutpoint
     }
     trans = {
-        x: tuple(successors[(i, x)] for i in range(len(reps)))
+        x: tuple(successors[(i, x)] for i in range(count))
         for x in a.inputs
     }
     raw = Dfa(
         alphabet=a.inputs,
-        n_states=len(reps),
+        n_states=count,
         start=0,
         trans=trans,
         accepting=frozenset(accepting),
@@ -203,24 +221,24 @@ def ergodic_test(a: MoorePA, tol: Tolerances | None = None) -> tuple[bool, str |
     """Ergodicity criterion: every nonempty word matrix has a primitive pattern.
 
     Enumerates the finite monoid generated by the letter patterns under the
-    boolean product; returns (False, witness word) on the first pattern that
-    no boolean power makes all-ones.
+    boolean product, breadth-first; returns (False, witness word) on the
+    first pattern that no boolean power makes all-ones.
     """
     t = resolve(tol)
+    letter_patterns = [linalg.bool_pattern(m, t) for m in a._letters]
     seen: dict[bytes, Word] = {}
-    queue: list[tuple[np.ndarray, Word]] = []
-    for x in a.inputs:
-        pat = linalg.bool_pattern(a.matrix(x), t)
+    queue: deque[tuple[np.ndarray, Word]] = deque()
+    for x, pat in zip(a.inputs, letter_patterns):
         key = pat.tobytes()
         if key not in seen:
             seen[key] = (x,)
             queue.append((pat, (x,)))
     while queue:
-        pat, word = queue.pop(0)
+        pat, word = queue.popleft()
         if not linalg.is_primitive(pat):
             return False, "".join(word) if all(len(s) == 1 for s in word) else " ".join(word)
-        for x in a.inputs:
-            nxt = linalg.bool_mul(pat, linalg.bool_pattern(a.matrix(x), t))
+        for x, letter in zip(a.inputs, letter_patterns):
+            nxt = linalg.bool_mul(pat, letter)
             key = nxt.tobytes()
             if key not in seen:
                 seen[key] = word + (x,)
@@ -232,7 +250,9 @@ def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = N
     """Minimum letter-matrix entry c and the decay bound k -> (1-2c)^(k-1).
 
     The bound on the spread norm of word matrices is validated exhaustively
-    for all words of length <= check_len before returning.
+    for all words of length <= check_len before returning, one block of
+    word matrices at a time; the error names the first violating word in
+    shortlex order.
     """
     t = resolve(tol)
     c = min(float(a.matrix(x).min()) for x in a.inputs)
@@ -242,13 +262,22 @@ def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = N
         return 1.0 if k < 1 else base ** (k - 1)
 
     for k in range(1, check_len + 1):
-        for u in words_of_length(a.inputs, k):
-            spread = linalg.norm_spread(a.word_matrix(u))
-            if spread > bound(k) + t.zero:
+        done = 0
+        for block in kernel.word_matrix_blocks(a._letters, k):
+            spreads = _spreads(block)
+            bad = np.flatnonzero(spreads > bound(k) + t.zero)
+            if bad.size:
+                u = _nth(words_of_length(a.inputs, k), done + int(bad[0]))
                 raise AssertionError(
-                    f"contraction bound violated at {u!r}: {spread} > {bound(k)}"
+                    f"contraction bound violated at {u!r}: {float(spreads[bad[0]])} > {bound(k)}"
                 )
+            done += len(block)
     return c, bound
+
+
+def _spreads(block) -> np.ndarray:
+    """`linalg.norm_spread` of each matrix of a (b, n, n) block."""
+    return (block.max(axis=1) - block.min(axis=1)).max(axis=1)
 
 
 # --- definite languages --------------------------------------------------------
@@ -280,9 +309,10 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
     Assumes the caller asserts delta-isolation.  With strictly positive
     letter matrices the suffix length k is the first one making
     (1-2c)^(k-1) < 2 delta / (n |lam|); for merely ergodic automata k is
-    found by scanning the word-matrix spread directly.  Returns None when
-    neither hypothesis holds.  Suffix determination is re-validated
-    exhaustively on all words with k <= |u| <= k+2.
+    the first length whose word matrices all have spread below that
+    threshold, scanned one block of word matrices at a time.  Returns None
+    when neither hypothesis holds.  Suffix determination is re-validated
+    word by word on all words with k <= |u| <= k+2.
     """
     t = resolve(tol)
     n = a.n_states
@@ -302,11 +332,8 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
             return None
         k = 1
         while True:
-            worst = max(
-                linalg.norm_spread(a.word_matrix(u))
-                for u in words_of_length(a.inputs, k)
-            )
-            if worst < threshold:
+            if all(_spreads(block).max() < threshold
+                   for block in kernel.word_matrix_blocks(a._letters, k)):
                 break
             k += 1
             if len(a.inputs) ** k > table_limit:
@@ -343,9 +370,11 @@ def stability_check(a: MoorePA, tol: Tolerances | None = None) -> StabilityRepor
     """Sufficient stability conditions for isolated cut points.
 
     StableAll when every letter matrix contracts the spread norm strictly;
-    otherwise search for a layer l <= n^2 on which every word matrix is
-    strictly positive; otherwise Unknown (the matching necessary condition
-    is not implemented, only the sufficient directions are).
+    otherwise search for a layer l <= n^2 (with at most 2^16 words) on which
+    every word matrix is strictly positive, one block of word matrices at a
+    time, leaving a layer at its first block with a non-positive matrix;
+    otherwise Unknown (the matching necessary condition is not implemented,
+    only the sufficient directions are).
     """
     t = resolve(tol)
     worst = max(linalg.norm_spread(a.matrix(x)) for x in a.inputs)
@@ -355,9 +384,7 @@ def stability_check(a: MoorePA, tol: Tolerances | None = None) -> StabilityRepor
     for length in range(1, n * n + 1):
         if len(a.inputs) ** length > 1 << 16:
             break
-        if all(
-            float(a.word_matrix(u).min()) > t.zero
-            for u in words_of_length(a.inputs, length)
-        ):
+        if all(float(block.min()) > t.zero
+               for block in kernel.word_matrix_blocks(a._letters, length)):
             return StabilityReport(POSITIVE_WORD_STABLE, length)
     return StabilityReport(UNKNOWN)

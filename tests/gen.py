@@ -92,3 +92,23 @@ def plant_unreachable_state(rng, a: MoorePA) -> MoorePA:
     init = np.concatenate([a.initial, [0.0]])
     lam = np.concatenate([a.lam, [rng.random()]])
     return MoorePA(a.inputs, trans, init, lam)
+
+
+def two_map_automaton(rng, ratio: float = 0.4, span: float = 0.5):
+    """Positive 2-state, 2-letter automaton with an isolated cut point, and that cut.
+
+    With p the probability of state 0, letter x maps p to q_x + ratio (p - q_x);
+    the fixed points q_a, q_b lie span apart and the start sits on q_a, so the
+    reachable p form a Cantor set with an empty middle gap.  The cut is the
+    reaction at the middle of that gap.
+    """
+    q_a = rng.uniform(0.05, 0.95 - span)
+    trans = {
+        x: np.array([[ratio + (1 - ratio) * q, (1 - ratio) * (1 - q)],
+                     [(1 - ratio) * q, 1 - (1 - ratio) * q]])
+        for x, q in zip(INPUTS[:2], (q_a, q_a + span))
+    }
+    lam = np.array([rng.uniform(0.0, 0.25), rng.uniform(0.75, 1.0)])[rng.permutation(2)]
+    mid = q_a + span / 2.0
+    cut = float(np.array([mid, 1 - mid]) @ lam)
+    return MoorePA(INPUTS[:2], trans, np.array([q_a, 1 - q_a]), lam), cut

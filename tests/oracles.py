@@ -236,3 +236,29 @@ def moore_class_count(d) -> int:
         if len(set(sig.values())) == len(set(cls.values())):
             return len(set(cls.values()))
         cls = sig
+
+
+def loop_extract_dfa(a, cutpoint: float, delta: float):
+    """Raw `extract_dfa` as a list of representatives re-stacked for every successor row.
+
+    Returns (state count, {letter: successor tuple}, accepting set).
+    """
+    n = a.n_states
+    radius = 2.0 * delta / (n * n * max(1.0, float(np.max(np.abs(a.lam)))))
+    reps = [np.array(a.initial)]
+    successors = {}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop(0)
+        for x in a.inputs:
+            row = reps[i] @ a.matrix(x)
+            near = np.flatnonzero(np.abs(np.array(reps) - row).max(axis=1) <= radius)
+            if near.size:
+                successors[(i, x)] = int(near[0])
+            else:
+                reps.append(row)
+                successors[(i, x)] = len(reps) - 1
+                frontier.append(len(reps) - 1)
+    trans = {x: tuple(successors[(i, x)] for i in range(len(reps))) for x in a.inputs}
+    accepting = {i for i, r in enumerate(reps) if float(r @ a.lam) > cutpoint}
+    return len(reps), trans, accepting

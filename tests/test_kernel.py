@@ -29,7 +29,7 @@ from probautomata import (
 )
 from probautomata import io as pio
 from probautomata import kernel
-from probautomata.dfa import words_upto
+from probautomata.dfa import words_of_length, words_upto
 from probautomata.generalpa import word_matrix
 from probautomata.moorepa import moore_reachable_part
 
@@ -185,3 +185,27 @@ def test_mc_sequence_matches_mc_function():
 def test_hankel_table_functions_reject_oracles(call):
     with pytest.raises(TypeError, match="^expected a StringFunctionTable$"):
         call(lambda u: 1.0)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_word_matrix_blocks_equal_word_matrix_in_shortlex_order(seed):
+    rng = np.random.default_rng(seed)
+    n, k = 1 + seed, 1 + seed % 3
+    a = gen.random_moore_pa(rng, n, k) if seed % 2 else gen.random_la(rng, n, k)
+    for length in range(5):
+        words = list(words_of_length(a.inputs, length))
+        blocks = list(kernel.word_matrix_blocks(a._letters, length))
+        assert sum(len(b) for b in blocks) == len(words)
+        for m, u in zip(np.concatenate(blocks), words):
+            assert np.array_equal(m, a.word_matrix(u))
+
+
+def test_word_matrix_blocks_span_several_blocks_at_a_deep_level():
+    a = gen.random_moore_pa(np.random.default_rng(7), 6, 3)
+    words = list(words_of_length(a.inputs, 7))
+    blocks = list(kernel.word_matrix_blocks(a._letters, 7))
+    assert len(blocks) > 2
+    assert all(b.size <= kernel.WORD_BLOCK_FLOATS for b in blocks)
+    mats = np.concatenate(blocks)
+    assert len(mats) == len(words)
+    assert all(np.array_equal(m, a.word_matrix(u)) for m, u in zip(mats, words))

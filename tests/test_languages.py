@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,11 +28,12 @@ from probautomata import (
     shift_cutpoint,
     stability_check,
 )
+from probautomata import kernel
 from probautomata.languages import POSITIVE_WORD_STABLE, STABLE_ALL, UNKNOWN
 from probautomata.linalg import norm_spread
 
-from gen import random_moore_pa, random_positive_stochastic
-from oracles import cantor_base3, enumerate_words, moore_class_count
+from gen import random_moore_pa, random_positive_stochastic, two_map_automaton
+from oracles import cantor_base3, enumerate_words, loop_extract_dfa, moore_class_count
 
 
 @pytest.fixture
@@ -219,6 +223,24 @@ def test_extract_dfa_from_dfa_image():
         assert extracted.accepts(u) == d.accepts(u)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_raw_extract_dfa_matches_restacking_loop(seed):
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        a, cut = two_map_automaton(rng)
+        delta = 0.002
+    else:
+        n = 2 + seed % 3
+        a = MoorePA(("a", "b"), {x: random_positive_stochastic(rng, n) for x in ("a", "b")},
+                    np.full(n, 1.0 / n), rng.random(n))
+        cut, delta = float(np.median(a.lam)), 0.1
+    raw = extract_dfa(a, cut, delta, minimize=False)
+    n_states, trans, accepting = loop_extract_dfa(a, cut, delta)
+    assert raw.n_states == n_states > 1
+    assert dict(raw.trans) == trans
+    assert raw.accepting == accepting
+
+
 def test_ergodic_positive():
     a = MoorePA(
         ("x",), {"x": np.array([[0.5, 0.5], [0.5, 0.5]])},
@@ -269,6 +291,23 @@ def test_contraction_bound_random_positive(seed, n):
     contraction_bound(a, check_len=4)  # validates internally
 
 
+@pytest.mark.parametrize("bad, block_floats, word", [
+    ("a", None, ("a", "a")),
+    ("b", 4, ("b", "a")),  # one prefix per block: the word opens the second block
+])
+def test_contraction_bound_names_the_first_violating_word(monkeypatch, bad, block_floats, word):
+    # not stochastic: c = 0.3 bounds spreads at length 2 by 0.4, but the bad
+    # letter has spread 0.6, as has the bad letter followed by the constant
+    # one, and its square 0.72; the error names the shortlex-first of these
+    if block_floats is not None:
+        monkeypatch.setattr(kernel, "WORD_BLOCK_FLOATS", block_floats)
+    trans = {"a": np.full((2, 2), 0.5), "b": np.full((2, 2), 0.5)}
+    trans[bad] = np.array([[0.3, 0.3], [0.9, 0.9]])
+    a = MoorePA(("a", "b"), trans, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(AssertionError, match=f"violated at {re.escape(repr(word))}: 0\\.[67]"):
+        contraction_bound(a, check_len=3)
+
+
 def test_definite_rep_mixer(two_state_mixer):
     rep = definite_rep(two_state_mixer, 0.4, 0.1)
     assert rep is not None
@@ -314,6 +353,21 @@ def test_stability_all(two_state_mixer):
 def test_stability_unknown_identity():
     a = MoorePA(("x",), {"x": np.eye(2)}, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
     assert stability_check(a).status == UNKNOWN
+
+
+def test_stability_unknown_scans_layers_in_bounded_memory():
+    # 40 states, 2 identity letters: every layer up to 2^16 words fails at
+    # its first word matrix; the whole layer of length 16 would take 0.8 GB
+    n = 40
+    a = MoorePA(("a", "b"), {"a": np.eye(n), "b": np.eye(n)}, np.full(n, 1.0 / n), np.ones(n))
+    tracemalloc.start()
+    try:
+        report = stability_check(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.status == UNKNOWN
+    assert peak < 4 << 20
 
 
 def test_stability_positive_word():
