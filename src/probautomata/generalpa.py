@@ -1,6 +1,6 @@
 """Probabilistic automata of general form (input/output transducers).
 
-Reactions, basis matrices, equivalence, LP-driven reduction, residual
+Reactions, basis matrices, equivalence, convex-certificate reduction, residual
 reactions and realization from shift-stable cones.  A general PA is the
 five-tuple (X, Y, S, P, initial) stored as one n-by-n matrix per
 input/output pair, so the probability of reading u while emitting v is

@@ -223,15 +223,24 @@ def restrict_reachable(letters, initial, final, t: Tolerances):
     return restrict(letters, initial, final, reachable_states(letters, initial, t))
 
 
-def convex_state(basis, t: Tolerances):
-    """Highest-index basis row that is a convex combination of the others.
+def convex_state(basis, t: Tolerances, below: int | None = None):
+    """Highest-index basis row, below `below` if given, that is a convex
+    combination of the others: (s, coefficients over the other rows) or None.
 
-    Returns (s, coefficients over the other rows) or None.
+    Prune, fit, check.  The affine test comes first: if row s is the mixture
+    x of the others, e_s - x is a left null vector of [basis | 1], so e_s has
+    squared weight >= 1/2 in that null space.  One thin SVD, at the
+    certificate's scale of 10 tol.lp relative to the basis, gives the weight
+    1 - |U_r[s]|^2 of every row; only rows of weight over 1/4 ask
+    `linalg.convex_combination_certificate`, which makes its own box test,
+    nonnegative least-squares fit and residual check.
     """
-    for s in range(basis.shape[0] - 1, -1, -1):
+    u, sv, _ = np.linalg.svd(np.column_stack([basis, np.ones(len(basis))]), full_matrices=False)
+    u = u[:, sv > t.lp * max(1.0, linalg.norm_abs(basis)) * 10.0]
+    for s in np.flatnonzero(1.0 - np.einsum("ij,ij->i", u, u)[:below] > 0.25)[::-1]:
         coeffs = linalg.convex_combination_certificate(basis, s, t)
         if coeffs is not None:
-            return s, coeffs
+            return int(s), coeffs
     return None
 
 
@@ -239,15 +248,15 @@ def reduce_convex(letters, initial, final, t: Tolerances):
     """Reachable part with every convex-combination state folded away, in one pass.
 
     The basis matrix (rows: states; columns: the span of L^u . final) is
-    computed once, for the reachable part.  One downward pass then asks each
-    state's row for a convex certificate against the other rows.  A hit is
-    folded, its row deleted, and the automaton restricted to its reachable
-    states again, dropping their rows too; the pass goes on with the highest
-    surviving state below the one folded.  This is safe: a fold leaves every
-    surviving state's behaviour, hence its row, unchanged, and removing rows
-    only shrinks the hull, so a state that failed once cannot pass later.
-    One basis and at most n certificates replace the fixed point's O(n)
-    bases and O(n^2) certificates.
+    computed once, for the reachable part.  One downward pass of
+    `convex_state` then finds the highest convex state.  It is folded, its
+    row deleted, and the automaton restricted to its reachable states again,
+    dropping their rows too; the pass goes on below the state folded, with
+    the affine test of the smaller basis.  This is safe: a fold leaves
+    every surviving state's behaviour, hence its row, unchanged, and
+    removing rows only shrinks the hull, so a state that failed once cannot
+    pass later.  One basis and at most n certificates replace the fixed
+    point's O(n) bases and O(n^2) certificates.
 
     Each certificate is checked once, by `convex_combination_certificate`
     against the rows held here: its residual bound, 10 tol.lp relative to
@@ -256,17 +265,14 @@ def reduce_convex(letters, initial, final, t: Tolerances):
     letters, initial, final = restrict_reachable(letters, initial, final, t)
     columns = span(final, letters, t).columns
     basis = np.column_stack(columns) if columns else np.zeros((initial.size, 1))
-    s = initial.size - 1
-    while s >= 0 and initial.size > 1:
-        coeffs = linalg.convex_combination_certificate(basis, s, t)
-        if coeffs is None:
-            s -= 1
-            continue
+    hit = convex_state(basis, t)
+    while hit is not None:
+        s, coeffs = hit
         letters, initial, final = fold(letters, initial, final, s, coeffs)
         idx = reachable_states(letters, initial, t)
         letters, initial, final = restrict(letters, initial, final, idx)
         basis = np.delete(basis, s, axis=0)[idx]
-        s = int(np.searchsorted(idx, s)) - 1
+        hit = convex_state(basis, t, int(np.searchsorted(idx, s)))
     return letters, initial, final
 
 

@@ -3,8 +3,10 @@
 Norms, Kronecker products, boolean matrix patterns, incremental subspace
 tracking (classical Gram-Schmidt applied twice over a basis array), a
 small dense two-phase simplex solver with Bland's rule, each pivot one
-rank-1 array update, and convex-combination certificates built on it.  All
-matrices are plain numpy float64 arrays.
+rank-1 array update, and convex-combination certificates without it: a
+box test prunes, a Lawson-Hanson nonnegative least-squares fit finds the
+coefficients, a residual check accepts them.  All matrices are plain numpy
+float64 arrays.
 """
 from __future__ import annotations
 
@@ -243,7 +245,11 @@ def _bland_pivot(tab: np.ndarray, basis: np.ndarray, n_cols: int, tol: float) ->
 
 
 def lp_solve(problem: LpProblem, tol: Tolerances | None = None) -> LpSolution:
-    """Dense two-phase simplex with Bland's anti-cycling rule."""
+    """Dense two-phase simplex with Bland's anti-cycling rule.
+
+    The pivot tolerance tol.lp is absolute: on an ill-conditioned a_eq, x can
+    have only a few correct digits.
+    """
     t = resolve(tol)
     a = problem.a_eq.copy()
     b = problem.b_eq.copy()
@@ -296,46 +302,31 @@ def convex_combination_certificate(
 ) -> np.ndarray | None:
     """Coefficients expressing rows[s] as a convex combination of the others.
 
-    Builds the slack LP: variables (x over other rows, y over columns),
-    constraints x.W + y = rows[s] and sum(x) + sum(y) = 1, objective
-    min sum(y).  Accepts iff the optimum exists and is <= tol.lp and the
-    coefficients (the LP's, or else the nonnegative least-squares mixture
-    started from them) sum to 1 and reproduce rows[s] to 10 tol.lp relative to
-    the rows; the returned vector is indexed over the rows with s removed.
+    Prune, fit, check.  The box test refutes rows[s] when some column lies
+    outside the other rows' [min, max] by more than the check's residual
+    scale.  Otherwise the coefficients are the nonnegative least-squares fit
+    of [W^T; r] x = [rows[s]; r] started from zero, with W the other rows and
+    the ones row r scaled to the rows' magnitude, so the sum counts at every
+    scale.  They are accepted iff they sum to 1 and reproduce rows[s] to
+    10 tol.lp relative to the rows; the returned vector is indexed over the
+    rows with s removed.
     """
     t = resolve(tol)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    n, k = rows.shape
+    n = rows.shape[0]
     if n < 2:
         return None
-    others = [i for i in range(n) if i != s]
-    w = rows[others]  # (n-1) x k
-    m = n - 1
+    w = np.delete(rows, s, axis=0)
     target = rows[s]
-    a_eq = np.ones((k + 1, m + k))
-    a_eq[:k, :m] = w.T
-    a_eq[:k, m:] = np.eye(k)
-    b_eq = np.concatenate([target, [1.0]])
-    c = np.concatenate([np.zeros(m), np.ones(k)])
-    sol = lp_solve(LpProblem(c, a_eq, b_eq), tol)
-    if sol.status != OPTIMAL or sol.objective is None or sol.objective > t.lp:
+    magnitude = norm_abs(rows) or 1.0
+    scale = t.lp * max(1.0, magnitude) * 10.0
+    if np.any(target < w.min(axis=0) - scale) or np.any(target > w.max(axis=0) + scale):
         return None
-    scale = t.lp * max(1.0, norm_abs(rows)) * 10.0
-
-    def reproduces(coeffs) -> bool:
-        if abs(coeffs.sum() - 1.0) > max(t.lp * 10.0, t.sum):
-            return False
-        return (norm_abs(target - coeffs @ w) if k else 0.0) <= scale
-
-    coeffs = np.clip(sol.x[:m], 0.0, None)
-    if reproduces(coeffs):
-        return coeffs
-    # On an ill-conditioned basis the tableau can lose digits although the
-    # LP is right that a mixture exists: solve for it again on the original
-    # rows, as the nonnegative least-squares fit of [W^T; 1] x = [rows[s]; 1]
-    # started from the LP's coefficients.
-    coeffs = _nnls(np.vstack([w.T, np.ones(m)]), np.append(target, 1.0), coeffs)
-    return coeffs if reproduces(coeffs) else None
+    coeffs = _nnls(np.vstack([w.T, np.full(n - 1, magnitude)]),
+                   np.append(target, magnitude), np.zeros(n - 1))
+    if abs(coeffs.sum() - 1.0) > max(t.lp * 10.0, t.sum):
+        return None
+    return coeffs if norm_abs(target - coeffs @ w) <= scale else None
 
 
 def _nnls(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:

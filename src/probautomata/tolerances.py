@@ -20,7 +20,8 @@ class Tolerances:
     sum     -- slack for affine constraints (row sums, total mass)
     nonneg  -- how far below 0 a probability may drift
     rank    -- relative threshold for subspace membership / rank decisions
-    lp      -- feasibility and objective threshold for the simplex solver
+    lp      -- feasibility and objective threshold for the simplex solver;
+               10 lp relative to the rows is a convex certificate's scale
     """
 
     zero: float = 1e-12

@@ -2,13 +2,18 @@
 
 These deliberately avoid the library's own algorithms: table convolutions by
 direct summation over factorizations, convex-combination detection by grid
-search over the simplex, iteration by summing convolution powers.
+search over the simplex, iteration by summing convolution powers.  The one
+exception is `lp_convex_certificate`, the simplex certificate the library
+used before its prune-then-NNLS certificate, kept as the reference that one
+must decide like.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+
+from probautomata import Tolerances, linalg
 
 
 def grid_convex_certificate(rows: np.ndarray, s: int, step: float = 1e-3,
@@ -47,6 +52,41 @@ def grid_convex_certificate(rows: np.ndarray, s: int, step: float = 1e-3,
     if best_res <= slack * max(1.0, float(np.max(np.abs(rows)))):
         return best, best_res
     return None
+
+
+def lp_convex_certificate(rows: np.ndarray, s: int, tol: Tolerances = Tolerances()):
+    """Coefficients writing rows[s] as a convex combination of the others, by LP.
+
+    The slack LP over (x over the other rows, y over the columns):
+    x.W + y = rows[s], sum(x) + sum(y) = 1, min sum(y).  Accepts iff the
+    optimum is <= tol.lp and the coefficients (the LP's, or else the
+    nonnegative least-squares fit of [W^T; 1] x = [rows[s]; 1] started from
+    them) sum to 1 and reproduce rows[s] to 10 tol.lp relative to the rows.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    n, k = rows.shape
+    if n < 2:
+        return None
+    w = np.delete(rows, s, axis=0)
+    m, target = n - 1, rows[s]
+    a_eq = np.ones((k + 1, m + k))
+    a_eq[:k, :m] = w.T
+    a_eq[:k, m:] = np.eye(k)
+    c = np.concatenate([np.zeros(m), np.ones(k)])
+    sol = linalg.lp_solve(linalg.LpProblem(c, a_eq, np.append(target, 1.0)), tol)
+    if sol.status != linalg.OPTIMAL or sol.objective > tol.lp:
+        return None
+    scale = tol.lp * max(1.0, float(np.abs(rows).max())) * 10.0
+
+    def reproduces(coeffs) -> bool:
+        return (abs(coeffs.sum() - 1.0) <= max(tol.lp * 10.0, tol.sum)
+                and float(np.abs(target - coeffs @ w).max()) <= scale)
+
+    coeffs = np.clip(sol.x[:m], 0.0, None)
+    if reproduces(coeffs):
+        return coeffs
+    coeffs = linalg._nnls(np.vstack([w.T, np.ones(m)]), np.append(target, 1.0), coeffs)
+    return coeffs if reproduces(coeffs) else None
 
 
 def bfs_lp_optimum(c, a_eq, b_eq, tol: float = 1e-9):

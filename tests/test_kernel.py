@@ -1,6 +1,6 @@
 """Contracts of the shared weighted-automaton kernel and of its adapters.
 
-The LP certificates and `enumerate_members` read basis columns and table
+The convex certificates and `enumerate_members` read basis columns and table
 order directly, so these pin them: basis columns are the raw word images
 L^u . start, degrees are the Krylov level counts, and tables iterate in
 shortlex order.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from probautomata import (
     Classification,
@@ -14,6 +16,8 @@ from probautomata import (
     classify,
     dfa_reachable_part,
     dfa_to_pa,
+    get_default,
+    kernel,
     linalg,
     moore_to_general,
     reduce_avg,
@@ -31,7 +35,7 @@ from gen import (
     random_moore_pa,
     random_stochastic,
 )
-from oracles import cantor_base3, enumerate_words
+from oracles import cantor_base3, enumerate_words, lp_convex_certificate
 
 
 def test_cantor_golden(cantor):
@@ -167,10 +171,11 @@ def test_reduce_avg_makes_at_most_one_certificate_per_state(monkeypatch):
     assert avg_equivalent(a, reduced)
 
 
-def test_certificates_survive_an_ill_conditioned_basis():
-    # 35 states with half-zero letters and three planted mixtures, shuffled:
-    # the averaged basis is ill-conditioned, and the simplex tableau loses
-    # digits on the planted state at index 16 although it finds the mixture
+def _ill_conditioned():
+    """35 states with half-zero letters and three planted mixtures, shuffled.
+
+    Returns the automaton and the indices of the planted states.
+    """
     rng = np.random.default_rng(99)
     n, inputs = 35, ("a", "b")
     a = MoorePA(inputs, {x: random_stochastic(rng, n, 0.5) for x in inputs},
@@ -178,9 +183,15 @@ def test_certificates_survive_an_ill_conditioned_basis():
     for _ in range(3):
         a = plant_convex_state(rng, a)
     order = rng.permutation(n + 3)
-    a = _relabel(a, order)
+    return _relabel(a, order), np.flatnonzero(order >= n)
+
+
+def test_certificates_survive_an_ill_conditioned_basis():
+    # the averaged basis is ill-conditioned, and a simplex tableau loses
+    # digits on the planted state at index 16 although it finds the mixture
+    a, planted = _ill_conditioned()
+    n = a.n_states - 3
     basis, _ = avg_basis_matrix(a)
-    planted = np.flatnonzero(order >= n)
     assert 16 in planted
     for s in planted:
         coeffs = linalg.convex_combination_certificate(basis, s)
@@ -189,6 +200,83 @@ def test_certificates_survive_an_ill_conditioned_basis():
     reduced = reduce_avg(a)
     assert reduced.n_states == n
     assert avg_equivalent(a, reduced)
+
+
+def _oracle_bases():
+    """Seeded random bases with mixed-in rows, planted bases and the ill-conditioned one."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(3 + seed % 5, 1 + seed % 7))
+        mixtures = [random_distribution(rng, len(rows)) @ rows for _ in range(seed % 3)]
+        basis = np.vstack([rows, *mixtures, *rows[:seed % 2]])  # and maybe a duplicate
+        yield basis[rng.permutation(len(basis))]
+    for seed in range(20):
+        yield avg_basis_matrix(_planted(seed, 3 + seed % 6, 1 + seed % 3))[0]
+    yield avg_basis_matrix(_ill_conditioned()[0])[0]
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """A list that grows by one entry with each nonnegative least-squares fit."""
+    fits = []
+    nnls = linalg._nnls
+    monkeypatch.setattr(linalg, "_nnls", lambda *args: fits.append(1) or nnls(*args))
+    return fits
+
+
+def test_certificate_decides_as_the_lp_oracle(fits):
+    t = get_default()
+    calls = accepted = boxed = 0
+    for basis in _oracle_bases():
+        for s in range(len(basis)):
+            want = lp_convex_certificate(basis, s)
+            before = len(fits)
+            got = linalg.convex_combination_certificate(basis, s)
+            assert (got is None) == (want is None)
+            calls += 1
+            boxed += len(fits) == before
+            if want is not None:
+                accepted += 1
+                assert len(fits) == before + 1  # the box test let it through
+                assert kernel.convex_state(basis, t, s + 1)[0] == s  # and the affine test
+                assert np.abs(basis[s] - got @ np.delete(basis, s, axis=0)).max() <= 1e-8
+    # both sides decide some rows each way, and the box test prunes
+    assert 0 < accepted < calls
+    assert boxed > 0
+
+
+def test_reduce_avg_fits_only_the_planted_states(fits):
+    # 38 states, 3 of them planted: the affine and box tests leave the
+    # nonnegative least-squares fit to the planted rows and at most a few more
+    a, planted = _ill_conditioned()
+    assert reduce_avg(a).n_states == a.n_states - len(planted)
+    assert len(planted) <= len(fits) <= len(planted) + 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-6.0, 6.0))
+@example(-6.0)
+@example(6.0)
+def test_certificates_hold_at_every_scale(exponent):
+    c, t = 10.0 ** exponent, get_default()
+    rng = np.random.default_rng(7)
+    a = random_moore_pa(rng, 7, 2)
+    for _ in range(2):
+        a = plant_convex_state(rng, a)
+    basis = c * avg_basis_matrix(a)[0]
+    # the last planted row off its mixture by a tenth of the certificate's
+    # scale: the fit must weigh the sum of its coefficients like the rows,
+    # at every scale
+    noise = np.random.default_rng(2).normal(size=basis.shape[1])
+    basis[8] += 1e-9 * np.abs(basis).max() * noise
+    for s in (7, 8):  # the planted states
+        hit = kernel.convex_state(basis, t, s + 1)
+        assert hit is not None and hit[0] == s
+        residual = np.abs(basis[s] - hit[1] @ np.delete(basis, s, axis=0)).max()
+        assert residual <= 1e-8 * max(1.0, np.abs(basis).max())
+    vertices = c * np.eye(6)
+    assert kernel.convex_state(vertices, t) is None
+    assert all(linalg.convex_combination_certificate(vertices, s) is None for s in range(6))
 
 
 def _reduce_avg_fixed_point(a: MoorePA) -> MoorePA:
