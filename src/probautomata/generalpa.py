@@ -10,12 +10,12 @@ pair matrices with the all-ones final column.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import MappingProxyType
+from itertools import product
 
 import numpy as np
 
 from . import kernel, linalg
-from .dfa import Word, words_of_length, words_upto
+from .dfa import Word, words_of_length
 from .tolerances import Tolerances, resolve
 
 
@@ -98,59 +98,46 @@ def reaction(a: GeneralPA, u: Word, v: Word, xi: np.ndarray | None = None) -> fl
 
 @dataclass(frozen=True, eq=False)
 class ReactionTable:
-    """Finite table of a probabilistic reaction on pairs with |u| = |v| <= depth."""
+    """Finite table of a probabilistic reaction on pairs with |u| = |v| <= depth: a
+    view of one `kernel.PairShortlexTable` over the letters (x, y) in GeneralPA key order."""
 
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     depth: int
-    values: dict[tuple[Word, Word], float] = field(default_factory=dict)
+    values: kernel.PairShortlexTable = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
+        keys = product(self.inputs, self.outputs)
+        object.__setattr__(self, "values", kernel.PairShortlexTable(keys, self.depth, self.values))
 
     def value(self, u: Word, v: Word) -> float:
         if len(u) != len(v):
             return 0.0
         if len(u) > self.depth:
             raise KeyError(f"pair beyond table depth {self.depth}: {(u, v)}")
-        return self.values.get((u, v), 0.0)
+        return self.values.get((tuple(u), tuple(v)), 0.0)
 
     def pairs(self, length: int):
-        for u in words_of_length(self.inputs, length):
-            for v in words_of_length(self.outputs, length):
-                yield u, v
+        return product(words_of_length(self.inputs, length), words_of_length(self.outputs, length))
 
 
 def reaction_table(a: GeneralPA, depth: int, xi: np.ndarray | None = None) -> ReactionTable:
     """Tabulate the reaction to the given depth, sharing prefix products."""
     row0 = a.initial if xi is None else np.asarray(xi, dtype=float)
-    values = kernel.prefix_values(row0, a._letters, a._final, depth)
-    # a word over the pair alphabet is the pair of its input and output words
-    pairs = (tuple(zip(*w)) or ((), ()) for w in words_upto(a._keys, depth))
-    return ReactionTable(a.inputs, a.outputs, depth, dict(zip(pairs, values.tolist())))
+    return ReactionTable(a.inputs, a.outputs, depth,
+                         kernel.prefix_values(row0, a._letters, a._final, depth))
 
 
 def is_probabilistic_response(f: ReactionTable, tol: Tolerances | None = None) -> bool:
     """Check the defining recurrences of a probabilistic reaction on the table."""
     t = resolve(tol)
-    if abs(f.value((), ()) - 1.0) > t.sum:
+    if abs(f.value((), ()) - 1.0) > t.sum or np.any(f.values.array < -t.nonneg):
         return False
-    for (u, v), val in f.values.items():
-        if len(u) != len(v):
-            if abs(val) > t.sum:
-                return False
-        elif val < -t.nonneg:
-            return False
-    for k in range(f.depth):
-        for u, v in f.pairs(k):
-            val = f.value(u, v)
-            for x in f.inputs:
-                total = sum(f.value(u + (x,), v + (y,)) for y in f.outputs)
-                if abs(total - val) > t.sum * max(1.0, len(f.outputs)):
-                    return False
-    return True
+    per_input = f.values.children().reshape(-1, len(f.inputs), len(f.outputs)).sum(axis=2)
+    slack = t.sum * max(1.0, len(f.outputs))
+    return not np.any(np.abs(per_input - f.values.upto(f.depth - 1)[:, None]) > slack)
 
 
 def residual(f: ReactionTable, u: Word, v: Word, tol: Tolerances | None = None) -> ReactionTable:
@@ -159,24 +146,15 @@ def residual(f: ReactionTable, u: Word, v: Word, tol: Tolerances | None = None) 
     mass = f.value(u, v)
     if abs(mass) <= t.zero:
         raise ZeroDivisionError(f"residual at a zero-probability pair {(u, v)}")
-    depth = f.depth - len(u)
-    values = {
-        (uu[len(u):], vv[len(v):]): val / mass
-        for (uu, vv), val in f.values.items()
-        if len(uu) >= len(u) and uu[: len(u)] == u and vv[: len(v)] == v
-    }
-    return ReactionTable(f.inputs, f.outputs, depth, values)
+    values = f.values.after(tuple(zip(u, v))) / mass
+    return ReactionTable(f.inputs, f.outputs, f.depth - len(u), values)
 
 
 def tables_agree(f: ReactionTable, g: ReactionTable, tol: Tolerances | None = None) -> bool:
-    """Compare two tables on their overlapping depth."""
+    """Compare two tables over one alphabet on their overlapping depth."""
     t = resolve(tol)
     depth = min(f.depth, g.depth)
-    for k in range(depth + 1):
-        for u, v in f.pairs(k):
-            if abs(f.value(u, v) - g.value(u, v)) > t.zero * 100.0:
-                return False
-    return True
+    return not np.any(np.abs(f.values.upto(depth) - g.values.upto(depth)) > t.zero * 100.0)
 
 
 def residual_automaton(f: ReactionTable, tol: Tolerances | None = None) -> GeneralPA | None:
@@ -189,35 +167,27 @@ def residual_automaton(f: ReactionTable, tol: Tolerances | None = None) -> Gener
     realizable reactions have infinitely many residuals.
     """
     t = resolve(tol)
-    states: list[ReactionTable] = [f]
-    transitions: dict[tuple[int, str, str], tuple[int, float]] = {}
-    queue = [0]
+    keys, states, queue, entries = f.values.alphabet, [f], [0], []
     while queue:
         i = queue.pop(0)
         g = states[i]
-        for x in f.inputs:
-            for y in f.outputs:
-                p = g.value((x,), (y,))
-                if p <= t.zero:
-                    continue
-                if g.depth - 1 < 1:
-                    return None  # child table too shallow to identify
-                child = residual(g, (x,), (y,), t)
-                match = None
-                for j, h in enumerate(states):
-                    if tables_agree(child, h, t):
-                        match = j
-                        break
-                if match is None:
-                    states.append(child)
-                    match = len(states) - 1
-                    queue.append(match)
-                transitions[(i, x, y)] = (match, p)
-    n = len(states)
-    trans = {(x, y): np.zeros((n, n)) for x in f.inputs for y in f.outputs}
-    for (i, x, y), (j, p) in transitions.items():
-        trans[(x, y)][i, j] = p
-    return GeneralPA(f.inputs, f.outputs, trans, linalg.point_distribution(n, 0))
+        for c, (x, y) in enumerate(keys):
+            p = g.value((x,), (y,))
+            if p <= t.zero:
+                continue
+            if g.depth - 1 < 1:
+                return None  # child table too shallow to identify
+            child = residual(g, (x,), (y,), t)
+            j = next((m for m, h in enumerate(states) if tables_agree(child, h, t)), len(states))
+            if j == len(states):
+                states.append(child)
+                queue.append(j)
+            entries.append((c, i, j, p))
+    letters = np.zeros((len(keys), len(states), len(states)))
+    for c, i, j, p in entries:
+        letters[c, i, j] = p
+    initial = linalg.point_distribution(len(states), 0)
+    return GeneralPA(f.inputs, f.outputs, kernel.Slices(keys, letters), initial)
 
 
 # --- basis matrices and equivalence -------------------------------------------

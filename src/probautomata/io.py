@@ -2,7 +2,9 @@
 
 One self-describing schema (``"schema": 1``): alphabets are string arrays,
 matrices are row-major arrays of arrays, words in table keys are
-space-separated symbol strings (the empty string is the empty word).
+space-separated symbol strings (the empty string is the empty word).  A
+table is saved with every word up to its depth; a loaded table may omit
+words, which read 0.0.
 Loading re-validates module invariants and reports the JSON path of the
 offending field.
 """
@@ -150,21 +152,13 @@ def to_document(obj) -> dict:
             "trans": {x: list(obj.trans[x]) for x in obj.alphabet},
             "accepting": sorted(obj.accepting),
         }
-    if isinstance(obj, StringFunctionTable):
+    if isinstance(obj, (StringFunctionTable, RandomSequence)):
         return {
             "schema": SCHEMA_VERSION,
-            "kind": "string_function",
+            "kind": "random_sequence" if isinstance(obj, RandomSequence) else "string_function",
             "alphabet": list(obj.alphabet),
             "depth": obj.depth,
-            "table": {word_to_key(u): v for u, v in sorted(obj.values.items())},
-        }
-    if isinstance(obj, RandomSequence):
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "random_sequence",
-            "alphabet": list(obj.alphabet),
-            "depth": obj.depth,
-            "table": {word_to_key(u): v for u, v in sorted(obj.table.items())},
+            "table": dict(zip(map(word_to_key, obj.values), obj.values.array.tolist())),
         }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 

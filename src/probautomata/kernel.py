@@ -9,18 +9,23 @@ as their storage (`store_letters`; `trans` maps each key to a read-only
 slice of it) and are validated views of that object; their public
 functions translate keys and words at the API edge and call the
 functions here.
+
+Every function on words (string-function tables, reactions, sequences) is
+one `ShortlexTable`, the `prefix_values` array in shortlex order; the table
+types of the other modules are validated views of it.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .dfa import Word
+from .dfa import Word, words_upto
 from .tolerances import Tolerances
 
 
@@ -172,14 +177,16 @@ def span(start, letters, t: Tolerances) -> Span:
     letters.transpose(0, 2, 1).
 
     The independence test extends the unit basis vector accepted with each
-    column, not the raw column: the rank test of `linalg.Subspace` is
-    absolute for short vectors, and the raw columns of a small-weight
-    automaton shrink with the word length.  In exact arithmetic both keep
-    the same words; the returned columns are raw.
+    column and the start divided by its max-abs norm, not the raw columns:
+    the rank test of `linalg.Subspace` is absolute for short vectors, and the
+    raw columns of a small-weight automaton shrink with the word length.  In
+    exact arithmetic both keep the same words; the returned columns are raw.
     """
     sub = linalg.Subspace(len(start), t)
-    if not sub.try_add(start):
+    scale = linalg.norm_abs(start)
+    if scale == 0.0:
         return Span([], [], 0, sub.basis)
+    sub.try_add(np.asarray(start, dtype=float) / scale)
     columns, tags = [np.array(start, dtype=float)], [()]
     last, levels = [0], 0
     while True:
@@ -300,3 +307,120 @@ def block_union(letters1, letters2) -> np.ndarray:
     out[:, :n1, :n1] = letters1
     out[:, n1:, n1:] = letters2
     return out
+
+
+# --- shortlex tables ---------------------------------------------------------------
+
+def shortlex_word(alphabet, rank: int) -> Word:
+    """The word of a shortlex rank, where rank(()) = 0 and rank(ux) = 1 + k rank(u) + index(x)."""
+    letters = []
+    while rank > 0:
+        rank, i = divmod(rank - 1, len(alphabet))
+        letters.append(alphabet[i])
+    return tuple(letters[::-1])
+
+
+class ShortlexTable(Mapping):
+    """A function on the words of length <= depth: one read-only float array in shortlex order.
+
+    With k = |alphabet|, rank(()) = 0 and rank(ux) = 1 + k rank(u) + index(x), so
+    the words of length n have the ranks offsets[n] .. offsets[n+1] - 1 and
+    rank(uv) = rank(u) k^|v| + rank(v).  As a Mapping it is a lazy, read-only
+    view from every word up to the depth to its value.  `values` is the array,
+    or a Mapping from words in which a missing word reads 0.0 (and a word
+    beyond the depth is ignored).
+    """
+
+    def __init__(self, alphabet, depth: int, values):
+        self.alphabet, self.depth = tuple(alphabet), int(depth)
+        self._index = {x: i for i, x in enumerate(self.alphabet)}
+        self.offsets = np.cumsum([0] + [len(self.alphabet) ** n for n in range(self.depth + 1)])
+        if isinstance(values, Mapping):
+            array = np.zeros(self.offsets[-1])
+            for key, value in values.items():
+                word = self._word(key)
+                if len(word) <= self.depth:
+                    array[self.rank(word)] = value
+        else:
+            array = np.asarray(values, dtype=float)
+            if array.shape != (self.offsets[-1],):
+                raise ValueError(f"{array.shape} values for {self.offsets[-1]} words")
+        self.array = freeze(array)
+
+    def level(self, n: int) -> np.ndarray:
+        """Values of the words of length n."""
+        return self.array[self.offsets[n]:self.offsets[n + 1]]
+
+    def upto(self, n: int) -> np.ndarray:
+        """Values of the words of length <= n."""
+        return self.array[:self.offsets[n + 1]]
+
+    def children(self) -> np.ndarray:
+        """Row r: the values of the k extensions of the word of rank r, if shorter than depth."""
+        return self.array[1:].reshape(-1, len(self.alphabet))
+
+    def rank(self, word) -> int:
+        """Index of a word in the array; KeyError if the table has no such word."""
+        if len(word) > self.depth or any(x not in self._index for x in word):
+            raise KeyError(word)
+        return functools.reduce(lambda r, x: 1 + len(self.alphabet) * r + self._index[x], word, 0)
+
+    def word(self, rank: int) -> Word:
+        return shortlex_word(self.alphabet, rank)
+
+    def concat(self, left, right) -> np.ndarray:
+        """Ranks of the words uv for the ranks of u in left and v in right, broadcast."""
+        lengths = np.searchsorted(self.offsets, right, side="right") - 1
+        return left * len(self.alphabet) ** lengths + right
+
+    def after(self, prefix) -> np.ndarray:
+        """Values f(prefix w) for |w| <= depth - |prefix|, in shortlex order of w."""
+        suffixes = np.arange(self.offsets[self.depth - len(prefix) + 1])
+        return self.array[self.concat(self.rank(prefix), suffixes)]
+
+    def _word(self, key) -> Word:
+        return key
+
+    def __getitem__(self, key) -> float:
+        return float(self.array[self.rank(self._word(key))])
+
+    def __iter__(self):
+        return iter(words_upto(self.alphabet, self.depth))
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.alphabet!r}, {self.depth}, {self.array!r})"
+
+
+class PairShortlexTable(ShortlexTable):
+    """A ShortlexTable over the letters (x, y), keyed by the pairs (u, v) of equal length."""
+
+    def _word(self, key) -> Word:
+        u, v = key
+        if len(u) != len(v):
+            raise KeyError(key)
+        return tuple(zip(u, v))
+
+    def __iter__(self):
+        return (tuple(zip(*w)) or ((), ()) for w in words_upto(self.alphabet, self.depth))
+
+
+@dataclass(frozen=True, eq=False)
+class WordTable:
+    """Fields of StringFunctionTable and RandomSequence; `values` becomes a ShortlexTable."""
+
+    alphabet: tuple[str, ...]
+    depth: int
+    values: ShortlexTable = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "values", ShortlexTable(self.alphabet, self.depth, self.values))
+
+    def value(self, u: Word) -> float:
+        u = tuple(u)
+        if len(u) > self.depth:
+            raise KeyError(f"word beyond table depth {self.depth}: {u}")
+        return self.values.get(u, 0.0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress
 from types import MappingProxyType
 
 import numpy as np
@@ -33,7 +33,7 @@ def enumerate_members(a: MoorePA, cutpoint: float, max_len: int) -> list[Word]:
     if not 0.0 <= cutpoint < 1.0:
         raise ValueError("cut point must lie in [0, 1)")
     table = avg_reaction_table(a, max_len)
-    return [u for u, val in table.items() if val > cutpoint]
+    return list(compress(table, table.array > cutpoint))
 
 
 # --- cut-point constructions ---------------------------------------------------
@@ -143,14 +143,9 @@ def isolation_scan(a: MoorePA, cutpoint: float, delta: float, max_len: int) -> I
     hits = np.flatnonzero(np.abs(values - cutpoint) < delta * (1.0 - 1e-9))
     if hits.size:
         i = int(hits[0])
-        return IsolationReport("refuted", delta, max_len, _nth(words_upto(a.inputs, max_len), i),
+        return IsolationReport("refuted", delta, max_len, kernel.shortlex_word(a.inputs, i),
                                float(values[i]))
     return IsolationReport("clear", delta, max_len)
-
-
-def _nth(words, i: int) -> Word:
-    """The i-th word of a word generator."""
-    return next(islice(words, i, None))
 
 
 # --- DFA extraction under isolation ---------------------------------------------
@@ -262,12 +257,12 @@ def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = N
         return 1.0 if k < 1 else base ** (k - 1)
 
     for k in range(1, check_len + 1):
-        done = 0
+        done = sum(len(a.inputs) ** j for j in range(k))  # the rank of the first word of length k
         for block in kernel.word_matrix_blocks(a._letters, k):
             spreads = _spreads(block)
             bad = np.flatnonzero(spreads > bound(k) + t.zero)
             if bad.size:
-                u = _nth(words_of_length(a.inputs, k), done + int(bad[0]))
+                u = kernel.shortlex_word(a.inputs, done + int(bad[0]))
                 raise AssertionError(
                     f"contraction bound violated at {u!r}: {float(spreads[bad[0]])} > {bound(k)}"
                 )
@@ -312,7 +307,7 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
     the first length whose word matrices all have spread below that
     threshold, scanned one block of word matrices at a time.  Returns None
     when neither hypothesis holds.  Suffix determination is re-validated
-    word by word on all words with k <= |u| <= k+2.
+    level by level on all words with k <= |u| <= k+2.
     """
     t = resolve(tol)
     n = a.n_states
@@ -340,16 +335,22 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
                 return None
     if len(a.inputs) ** k > table_limit:
         raise ValueError(f"suffix table of size |X|^{k} exceeds the limit")
-    suffix = {w: member(a, cutpoint, w) for w in words_of_length(a.inputs, k)}
-    short = {w: member(a, cutpoint, w) for w in words_upto(a.inputs, k - 1)}
-    rep = DefiniteRep(k, suffix, short)
+    if not 0.0 <= cutpoint < 1.0:
+        raise ValueError("cut point must lie in [0, 1)")
+    table = kernel.ShortlexTable(a.inputs, k + 2,
+                                 kernel.prefix_values(a.initial, a._letters, a.lam, k + 2))
+    suffix, short = table.level(k) > cutpoint, table.upto(k - 1) > cutpoint
+    rep = DefiniteRep(k, dict(zip(words_of_length(a.inputs, k), suffix.tolist())),
+                      dict(zip(words_upto(a.inputs, k - 1), short.tolist())))
     for extra in range(0, 3):
-        for u in words_of_length(a.inputs, k + extra):
-            if member(a, cutpoint, u) != rep.member(u):
-                raise AssertionError(
-                    f"suffix determination failed at {u!r}; the isolation "
-                    "assumption does not hold at this delta"
-                )
+        # within a length, the last k letters of a word of rank r have rank r mod |X|^k
+        bad = np.flatnonzero((table.level(k + extra).reshape(-1, suffix.size) > cutpoint) != suffix)
+        if bad.size:
+            u = table.word(table.offsets[k + extra] + bad[0])
+            raise AssertionError(
+                f"suffix determination failed at {u!r}; the isolation "
+                "assumption does not hold at this delta"
+            )
     return rep
 
 

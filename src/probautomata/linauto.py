@@ -9,13 +9,12 @@ run in `kernel`, with lam as the final column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel, linalg
-from .dfa import Dfa, Word, words_of_length, words_upto
+from .dfa import Dfa, Word, words_upto
 from .moorepa import MoorePA, dfa_to_pa
 from .tolerances import Tolerances, resolve
 
@@ -51,29 +50,18 @@ def la_reaction(l: LinearAutomaton, u: Word, xi: np.ndarray | None = None) -> fl
 
 def la_table(l: LinearAutomaton, depth: int) -> "StringFunctionTable":
     """Tabulate the reaction to the given depth, sharing prefix products."""
-    values = kernel.prefix_values(l.initial, l._letters, l.lam, depth).tolist()
-    return StringFunctionTable(l.inputs, depth, dict(zip(words_upto(l.inputs, depth), values)))
+    values = kernel.prefix_values(l.initial, l._letters, l.lam, depth)
+    return StringFunctionTable(l.inputs, depth, values)
 
 
 # --- string-function tables and their ring ------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class StringFunctionTable:
-    """Finite table of a function on words, valid up to its depth."""
+class StringFunctionTable(kernel.WordTable):
+    """Finite table of a function on words, valid up to its depth (`values`).
 
-    alphabet: tuple[str, ...]
-    depth: int
-    values: dict[Word, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "values", MappingProxyType(dict(self.values)))
-
-    def value(self, u: Word) -> float:
-        u = tuple(u)
-        if len(u) > self.depth:
-            raise KeyError(f"word beyond table depth {self.depth}: {u}")
-        return self.values.get(u, 0.0)
+    The ring works one length at a time: the words of length n split after j
+    letters are the entries of the outer product of the levels j and n - j.
+    """
 
     def _binary(self, other: "StringFunctionTable"):
         if self.alphabet != other.alphabet:
@@ -82,26 +70,22 @@ class StringFunctionTable:
 
     def add(self, other: "StringFunctionTable") -> "StringFunctionTable":
         depth = self._binary(other)
-        vals = {u: self.value(u) + other.value(u) for u in words_upto(self.alphabet, depth)}
-        return StringFunctionTable(self.alphabet, depth, vals)
+        return StringFunctionTable(self.alphabet, depth,
+                                   self.values.upto(depth) + other.values.upto(depth))
 
     def sub(self, other: "StringFunctionTable") -> "StringFunctionTable":
         return self.add(other.scale(-1.0))
 
     def scale(self, a: float) -> "StringFunctionTable":
-        return StringFunctionTable(
-            self.alphabet, self.depth, {u: a * v for u, v in self.values.items()}
-        )
+        return StringFunctionTable(self.alphabet, self.depth, a * self.values.array)
 
     def convolve(self, other: "StringFunctionTable") -> "StringFunctionTable":
         """Cauchy product over all factorizations u = u1 u2."""
         depth = self._binary(other)
-        vals = {}
-        for u in words_upto(self.alphabet, depth):
-            vals[u] = sum(
-                self.value(u[:k]) * other.value(u[k:]) for k in range(len(u) + 1)
-            )
-        return StringFunctionTable(self.alphabet, depth, vals)
+        f, g = self.values, other.values
+        levels = [sum(np.outer(f.level(j), g.level(n - j)).ravel() for j in range(n + 1))
+                  for n in range(depth + 1)]
+        return StringFunctionTable(self.alphabet, depth, np.concatenate(levels))
 
     def inverse(self, tol: Tolerances | None = None) -> "StringFunctionTable":
         """Convolution inverse, defined when f(eps) != 0.
@@ -109,16 +93,14 @@ class StringFunctionTable:
         Solves the triangular system g(eps) = 1/f(eps),
         g(u) = -(1/f(eps)) * sum over proper prefixes of f(u1) g(u2).
         """
-        t = resolve(tol)
         head = self.value(())
-        if abs(head) <= t.zero:
+        if abs(head) <= resolve(tol).zero:
             raise ZeroDivisionError("function has no convolution inverse: f(eps) = 0")
-        vals: dict[Word, float] = {(): 1.0 / head}
-        for k in range(1, self.depth + 1):
-            for u in words_of_length(self.alphabet, k):
-                acc = sum(self.value(u[:j]) * vals[u[j:]] for j in range(1, len(u) + 1))
-                vals[u] = -acc / head
-        return StringFunctionTable(self.alphabet, self.depth, vals)
+        f, levels = self.values, [np.array([1.0 / head])]
+        for n in range(1, self.depth + 1):
+            acc = sum(np.outer(f.level(j), levels[n - j]).ravel() for j in range(1, n + 1))
+            levels.append(-acc / head)
+        return StringFunctionTable(self.alphabet, self.depth, np.concatenate(levels))
 
     def iterate(self, tol: Tolerances | None = None) -> "StringFunctionTable":
         """Kleene-plus in the convolution ring: (chi_eps - f)^-1 - chi_eps."""
@@ -261,21 +243,20 @@ def _table(f) -> StringFunctionTable:
 def hankel_block(f, row_len: int, col_len: int, alphabet=None) -> np.ndarray:
     """Finite Hankel block H[u, v] = f(uv), tags in shortlex order.
 
-    f is either a table or a word -> value oracle (then pass the alphabet).
+    f is either a table, read with one index of ranks (`ShortlexTable.concat`),
+    or a word -> value oracle (then pass the alphabet).
     """
     if isinstance(f, StringFunctionTable):
-        alphabet, depth, fn = f.alphabet, f.depth, f.value
-    elif callable(f):
-        if alphabet is None:
-            raise TypeError("a callable oracle needs an explicit alphabet")
-        alphabet, depth, fn = tuple(alphabet), 1 << 30, f
-    else:
+        if row_len + col_len > f.depth:
+            raise ValueError("table too shallow for the requested block")
+        rows, cols = (np.arange(f.values.offsets[n + 1]) for n in (row_len, col_len))
+        return f.values.array[f.values.concat(rows[:, None], cols)]
+    if not callable(f):
         raise TypeError("expected a StringFunctionTable or a callable oracle")
-    if row_len + col_len > depth:
-        raise ValueError("table too shallow for the requested block")
-    rows = list(words_upto(alphabet, row_len))
-    cols = list(words_upto(alphabet, col_len))
-    return np.array([[fn(u + v) for v in cols] for u in rows])
+    if alphabet is None:
+        raise TypeError("a callable oracle needs an explicit alphabet")
+    rows, cols = (list(words_upto(tuple(alphabet), n)) for n in (row_len, col_len))
+    return np.array([[f(u + v) for v in cols] for u in rows])
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,16 +293,16 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
     """
     t = resolve(tol)
     f = _table(f)
-    alphabet, depth, fn = f.alphabet, f.depth, f.value
+    table, depth = f.values, f.depth
     if rank_bound < 1:
         raise ValueError("rank bound must be >= 1")
     max_tag = min(rank_bound - 1, max(0, (depth - 1) // 2))
-    rows = cols = list(words_upto(alphabet, max_tag))
     block = hankel_block(f, max_tag, max_tag)
     if linalg.norm_abs(block) <= t.zero:
         raise ValueError("identically zero function has no Hankel basis")
-    row_basis = _greedy_tags(block, rows, t)
-    col_basis = _greedy_tags(block.T, cols, t)
+    ranks = range(len(block))  # the ranks of the tags of length <= max_tag
+    row_basis = _greedy_tags(block, ranks, t)
+    col_basis = _greedy_tags(block.T, ranks, t)
     r = len(row_basis)
     if r != len(col_basis):
         raise ValueError("row and column ranks disagree at this depth")
@@ -329,14 +310,14 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
         raise ValueError(f"Hankel rank {r} exceeds the stated bound {rank_bound}")
     if 2 * (r - 1) + 1 > depth:
         raise ValueError("table too shallow for the per-letter shift matrices")
-    core = np.array([[fn(u + v) for v in col_basis] for u in row_basis])
+    core = block[np.ix_(row_basis, col_basis)]
     if np.linalg.cond(core) >= 1.0 / t.rank:
         raise ValueError("selected core is numerically singular")
-    letters = {
-        x: np.array([[fn(u + (x,) + v) for v in col_basis] for u in row_basis])
-        for x in alphabet
-    }
-    return HankelBasis(tuple(row_basis), tuple(col_basis), core, letters, alphabet)
+    rows, cols = np.array(row_basis)[:, None], np.array(col_basis)
+    letters = {x: table.array[table.concat(table.concat(rows, table.rank((x,))), cols)]
+               for x in f.alphabet}
+    return HankelBasis(tuple(map(table.word, row_basis)), tuple(map(table.word, col_basis)),
+                       core, letters, f.alphabet)
 
 
 def e_f_dimension(f, depth: int | None = None, tol: Tolerances | None = None) -> int:
@@ -360,7 +341,7 @@ def realize(f, rank_bound: int | None = None, tol: Tolerances | None = None) -> 
     t = resolve(tol)
     f = _table(f)
     alphabet, depth = f.alphabet, f.depth
-    if linalg.norm_abs(np.array(list(f.values.values()) or [0.0])) <= t.zero:
+    if linalg.norm_abs(f.values.array) <= t.zero:
         return la_zero(alphabet)
     if rank_bound is None:
         rank_bound = max(1, (depth + 1) // 2)

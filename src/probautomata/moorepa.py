@@ -47,10 +47,10 @@ def avg_reaction(a: MoorePA, u: Word, xi: np.ndarray | None = None) -> float:
     return float(kernel.word_product(row, map(a.matrix, u)) @ a.lam)
 
 
-def avg_reaction_table(a: MoorePA, depth: int) -> dict[Word, float]:
-    """All averaged reactions to the given depth, sharing prefix products."""
+def avg_reaction_table(a: MoorePA, depth: int) -> kernel.ShortlexTable:
+    """All averaged reactions to the given depth, sharing prefix products, as a Mapping."""
     values = kernel.prefix_values(a.initial, a._letters, a.lam, depth)
-    return dict(zip(words_upto(a.inputs, depth), values.tolist()))
+    return kernel.ShortlexTable(a.inputs, depth, values)
 
 
 def avg_basis_matrix(a: MoorePA, tol: Tolerances | None = None):

@@ -7,46 +7,33 @@ fabricate values beyond it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel, linalg
-from .dfa import Word, words_of_length, words_upto
+from .dfa import Word
 from .generalpa import GeneralPA, ReactionTable, reaction_table, residual_automaton
 from .tolerances import Tolerances, resolve
 
 UNIT_SYMBOL = "e"
 
 
-@dataclass(frozen=True, eq=False)
-class RandomSequence:
-    alphabet: tuple[str, ...]
-    depth: int
-    table: dict[Word, float] = field(default_factory=dict)
+class RandomSequence(kernel.WordTable):
+    """A random sequence to its depth; `table` (also `values`) maps each word to its mass."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-
-    def value(self, u: Word) -> float:
-        if len(u) > self.depth:
-            raise KeyError(f"word beyond table depth {self.depth}: {u}")
-        return self.table.get(tuple(u), 0.0)
+    table = property(lambda self: self.values)
 
     def validate(self, tol: Tolerances | None = None) -> "RandomSequence":
         t = resolve(tol)
         if abs(self.value(()) - 1.0) > t.sum:
             raise ValueError("mass at the empty word is not 1")
-        for k in range(self.depth):
-            for u in words_of_length(self.alphabet, k):
-                total = sum(self.value(u + (x,)) for x in self.alphabet)
-                if abs(total - self.value(u)) > t.sum * max(1.0, len(self.alphabet)):
-                    raise ValueError(f"mass is not conserved below {u}")
-        for u, val in self.table.items():
-            if val < -t.nonneg:
-                raise ValueError(f"negative mass at {u}")
+        bad = _leaks(self.values, t)
+        if bad.size:
+            raise ValueError(f"mass is not conserved below {self.values.word(bad[0])}")
+        negative = np.flatnonzero(self.values.array < -t.nonneg)
+        if negative.size:
+            raise ValueError(f"negative mass at {self.values.word(negative[0])}")
         return self
 
 
@@ -57,20 +44,15 @@ def rs_residual(zeta: RandomSequence, u: Word, tol: Tolerances | None = None) ->
     mass = zeta.value(u)
     if abs(mass) <= t.zero:
         raise ZeroDivisionError(f"residual at a zero-mass word {u}")
-    values = {
-        w[len(u):]: val / mass
-        for w, val in zeta.table.items()
-        if len(w) >= len(u) and w[: len(u)] == u
-    }
-    return RandomSequence(zeta.alphabet, zeta.depth - len(u), values)
+    return RandomSequence(zeta.alphabet, zeta.depth - len(u), zeta.values.after(u) / mass)
 
 
 def rs_to_reaction(zeta: RandomSequence) -> ReactionTable:
-    """View a random sequence as a reaction from the one-letter input alphabet."""
-    values = {
-        ((UNIT_SYMBOL,) * len(u), u): val for u, val in zeta.table.items()
-    }
-    return ReactionTable((UNIT_SYMBOL,), zeta.alphabet, zeta.depth, values)
+    """View a random sequence as a reaction from the one-letter input alphabet.
+
+    Over the letters (e, y) the pair ((e,)*|v|, v) has the rank of v.
+    """
+    return ReactionTable((UNIT_SYMBOL,), zeta.alphabet, zeta.depth, zeta.values.array)
 
 
 def rs_automaton(zeta: RandomSequence, tol: Tolerances | None = None) -> GeneralPA | None:
@@ -82,45 +64,24 @@ def rs_from_automaton(a: GeneralPA, depth: int) -> RandomSequence:
     """Sequence generated by an automaton over the one-letter input alphabet."""
     if a.inputs != (UNIT_SYMBOL,):
         raise ValueError("automaton does not have the one-letter input alphabet")
-    tab = reaction_table(a, depth)
-    values = {v: val for (u, v), val in tab.values.items()}
-    return RandomSequence(a.outputs, depth, values)
+    return RandomSequence(a.outputs, depth, reaction_table(a, depth).values.array)
 
 
-@dataclass(frozen=True, eq=False)
-class PairedSequence:
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    depth: int
-    table: dict[tuple[Word, Word], float] = field(default_factory=dict)
+class PairedSequence(ReactionTable):
+    """A paired sequence to its depth, stored as a ReactionTable; `table` is `values`."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
-
-    def value(self, u: Word, v: Word) -> float:
-        if len(u) != len(v):
-            return 0.0
-        if len(u) > self.depth:
-            raise KeyError(f"pair beyond table depth {self.depth}")
-        return self.table.get((tuple(u), tuple(v)), 0.0)
+    table = property(lambda self: self.values)
 
     def validate(self, tol: Tolerances | None = None) -> "PairedSequence":
         t = resolve(tol)
         if abs(self.value((), ()) - 1.0) > t.sum:
             raise ValueError("mass at the empty pair is not 1")
-        slack = t.sum * max(1.0, len(self.inputs) * len(self.outputs))
-        for k in range(self.depth):
-            for u in words_of_length(self.inputs, k):
-                for v in words_of_length(self.outputs, k):
-                    total = sum(
-                        self.value(u + (x,), v + (y,))
-                        for x in self.inputs
-                        for y in self.outputs
-                    )
-                    if abs(total - self.value(u, v)) > slack:
-                        raise ValueError(f"mass is not conserved below {(u, v)}")
+        bad = _leaks(self.values, t)
+        if bad.size:
+            u, v = _sides(self)
+            first = bad[np.lexsort((v[bad], u[bad]))[0]]  # input word major
+            pair = tuple(zip(*self.values.word(first))) or ((), ())
+            raise ValueError(f"mass is not conserved below {pair}")
         return self
 
 
@@ -129,28 +90,34 @@ def pair_from(zeta: RandomSequence, a: GeneralPA) -> PairedSequence:
     if tuple(a.inputs) != tuple(zeta.alphabet):
         raise ValueError("automaton input alphabet does not match the sequence")
     tab = reaction_table(a, zeta.depth)
-    values = {
-        (u, v): zeta.value(u) * val for (u, v), val in tab.values.items()
-    }
+    values = zeta.values.array[_sides(tab)[0]] * tab.values.array
     return PairedSequence(zeta.alphabet, a.outputs, zeta.depth, values)
 
 
 def marginals(eta: PairedSequence) -> tuple[RandomSequence, RandomSequence]:
-    """Input and output marginal sequences of a paired sequence."""
-    left: dict[Word, float] = {}
-    right: dict[Word, float] = {}
-    for (u, v), val in eta.table.items():
-        left[u] = left.get(u, 0.0) + val
-        right[v] = right.get(v, 0.0) + val
-    for k in range(eta.depth + 1):
-        for u in words_of_length(eta.inputs, k):
-            left.setdefault(u, 0.0)
-        for v in words_of_length(eta.outputs, k):
-            right.setdefault(v, 0.0)
+    """Input and output marginal sequences, each adding up the pairs in table order."""
+    u, v = _sides(eta)
     return (
-        RandomSequence(eta.inputs, eta.depth, left),
-        RandomSequence(eta.outputs, eta.depth, right),
+        RandomSequence(eta.inputs, eta.depth, np.bincount(u, weights=eta.values.array)),
+        RandomSequence(eta.outputs, eta.depth, np.bincount(v, weights=eta.values.array)),
     )
+
+
+def _leaks(table: kernel.ShortlexTable, t: Tolerances) -> np.ndarray:
+    """Ranks of the words whose one-letter extensions do not add up to their mass."""
+    slack = t.sum * max(1.0, len(table.alphabet))
+    below = table.children().sum(axis=1)
+    return np.flatnonzero(np.abs(below - table.upto(table.depth - 1)) > slack)
+
+
+def _sides(f: ReactionTable):
+    """Ranks of the input word and of the output word of every pair of the table."""
+    nx, ny = len(f.inputs), len(f.outputs)
+    u, v = [np.zeros(1, dtype=int)], [np.zeros(1, dtype=int)]
+    for _ in range(f.depth):  # rank(ux) = 1 + |X| rank(u) + index(x)
+        u.append((1 + nx * u[-1][:, None] + np.arange(nx * ny) // ny).ravel())
+        v.append((1 + ny * v[-1][:, None] + np.arange(nx * ny) % ny).ravel())
+    return np.concatenate(u), np.concatenate(v)
 
 
 def transform(zeta: RandomSequence, a: GeneralPA) -> RandomSequence:
@@ -219,17 +186,12 @@ def mc_sequence(m: MarkovChain, depth: int) -> RandomSequence:
     letters[:, 0, 1:] = m.initial * masks
     letters[:, 1:, 1:] = m.matrix * masks[:, None, :]
     start = linalg.point_distribution(n + 1, 0)
-    values = kernel.prefix_values(start, letters, np.ones(n + 1), depth).tolist()
-    return RandomSequence(m.signals, depth, dict(zip(words_upto(m.signals, depth), values)))
+    values = kernel.prefix_values(start, letters, np.ones(n + 1), depth)
+    return RandomSequence(m.signals, depth, values)
 
 
 def iid_sequence(alphabet, weights, depth: int, tol: Tolerances | None = None) -> RandomSequence:
-    """Product sequence zeta(u) = prod of per-letter weights."""
-    alphabet = tuple(alphabet)
+    """Product sequence zeta(u) = prod of per-letter weights, as a one-state automaton."""
     w = linalg.validate_distribution(np.asarray(weights, dtype=float), tol, "letter weights")
-    lookup = dict(zip(alphabet, w))
-    values = {
-        u: float(np.prod([lookup[x] for x in u])) if u else 1.0
-        for u in words_upto(alphabet, depth)
-    }
-    return RandomSequence(alphabet, depth, values)
+    one = np.ones(1)
+    return RandomSequence(alphabet, depth, kernel.prefix_values(one, w[:, None, None], one, depth))

@@ -302,3 +302,82 @@ def loop_extract_dfa(a, cutpoint: float, delta: float):
     trans = {x: tuple(successors[(i, x)] for i in range(len(reps))) for x in a.inputs}
     accepting = {i for i, r in enumerate(reps) if float(r @ a.lam) > cutpoint}
     return len(reps), trans, accepting
+
+
+# --- per-word table loops ------------------------------------------------------
+# The dict-backed table operations the library used before its shortlex
+# tables, kept as references.  A table is a dict from words (or from pairs
+# (u, v) of words) to values; a missing word reads 0.0.
+
+def loop_add(f: dict, g: dict, alphabet, depth: int) -> dict:
+    return {u: f.get(u, 0.0) + g.get(u, 0.0) for u in enumerate_words(alphabet, depth)}
+
+
+def loop_scale(f: dict, a: float) -> dict:
+    return {u: a * v for u, v in f.items()}
+
+
+def loop_inverse(f: dict, alphabet, depth: int) -> dict:
+    """Convolution inverse by the triangular recurrence, one word at a time."""
+    head = f.get((), 0.0)
+    out = {(): 1.0 / head}
+    for u in enumerate_words(alphabet, depth)[1:]:
+        acc = sum(f.get(u[:j], 0.0) * out[u[j:]] for j in range(1, len(u) + 1))
+        out[u] = -acc / head
+    return out
+
+
+def loop_iterate(f: dict, alphabet, depth: int) -> dict:
+    """Kleene plus (chi_eps - f)^-1 - chi_eps."""
+    chi = {(): 1.0}
+    inv = loop_inverse(loop_add(chi, loop_scale(f, -1.0), alphabet, depth), alphabet, depth)
+    return loop_add(inv, loop_scale(chi, -1.0), alphabet, depth)
+
+
+def loop_residual(f: dict, u, v) -> dict:
+    """Residual f(uu', vv') / f(u, v) of a pair table."""
+    mass = f.get((tuple(u), tuple(v)), 0.0)
+    return {
+        (uu[len(u):], vv[len(v):]): val / mass
+        for (uu, vv), val in f.items()
+        if len(uu) >= len(u) and uu[:len(u)] == tuple(u) and vv[:len(v)] == tuple(v)
+    }
+
+
+def loop_rs_residual(zeta: dict, u) -> dict:
+    mass = zeta.get(tuple(u), 0.0)
+    return {w[len(u):]: val / mass for w, val in zeta.items() if w[:len(u)] == tuple(u)}
+
+
+def loop_pair_from(zeta: dict, reaction: dict) -> dict:
+    return {(u, v): zeta.get(u, 0.0) * val for (u, v), val in reaction.items()}
+
+
+def loop_marginals(eta: dict) -> tuple[dict, dict]:
+    left, right = {}, {}
+    for (u, v), val in eta.items():
+        left[u] = left.get(u, 0.0) + val
+        right[v] = right.get(v, 0.0) + val
+    return left, right
+
+
+def loop_iid(alphabet, weights, depth: int) -> dict:
+    lookup = dict(zip(alphabet, weights))
+    return {u: float(np.prod([lookup[x] for x in u])) if u else 1.0
+            for u in enumerate_words(alphabet, depth)}
+
+
+def loop_is_probabilistic_response(f: dict, inputs, outputs, depth: int,
+                                   tol: Tolerances = Tolerances()) -> bool:
+    if abs(f.get(((), ()), 0.0) - 1.0) > tol.sum:
+        return False
+    if any(val < -tol.nonneg for val in f.values()):
+        return False
+    for k in range(depth):
+        for u in itertools.product(inputs, repeat=k):
+            for v in itertools.product(outputs, repeat=k):
+                for x in inputs:
+                    total = sum(f.get((u + (x,), v + (y,)), 0.0) for y in outputs)
+                    if abs(total - f.get((u, v), 0.0)) > tol.sum * max(1.0, len(outputs)):
+                        return False
+    return True

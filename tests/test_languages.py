@@ -346,6 +346,19 @@ def test_definite_rep_absent(cantor):
     assert definite_rep(cantor, 0.5, 1.0 / 6.0) is None
 
 
+def test_definite_rep_validates_levels_without_membership_calls(monkeypatch):
+    # k = 14; suffix determination fails at a word of length k + 2, named
+    # first in shortlex order, and no word is rebuilt through `member`
+    def no_member(*args):
+        raise AssertionError("member called")
+
+    monkeypatch.setattr("probautomata.languages.member", no_member)
+    a = random_moore_pa(np.random.default_rng(31), 2, 2)
+    word = ("a", "a", "b", "a", "a", "b", "b", "b", "b", "a", "a", "b", "b", "b", "b", "b")
+    with pytest.raises(AssertionError, match=re.escape(f"suffix determination failed at {word!r};")):
+        definite_rep(a, 0.856, 0.2)
+
+
 def test_stability_all(two_state_mixer):
     assert stability_check(two_state_mixer).status == STABLE_ALL
 

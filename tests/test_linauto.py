@@ -479,3 +479,13 @@ def test_la_equivalent():
     doubled = la_combine("sum", la_unary("scale", l, a=0.5), la_unary("scale", l, a=0.5))
     assert la_equivalent(l, doubled)
     assert not la_equivalent(l, geometric(0.4))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6])
+def test_la_equivalent_is_scale_free(c):
+    # the observe span starts from lam / max|lam|, so a tiny output column
+    # still spans and c.l is told apart from 2c.l at every scale
+    for seed in range(20):
+        l = random_la(np.random.default_rng(seed), 4, 2)
+        assert not la_equivalent(la_unary("scale", l, a=c), la_unary("scale", l, a=2.0 * c))
+        assert la_equivalent(la_unary("scale", l, a=c), la_unary("scale", l, a=c))
