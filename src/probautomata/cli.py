@@ -32,7 +32,6 @@ from .linauto import (
     la_combine,
     la_equivalent,
     la_language_pa,
-    la_reaction,
     la_to_pa_affine,
     la_to_rational_expr,
     la_unary,
@@ -90,12 +89,7 @@ def _expect(obj, kinds, path: str):
 
 
 def _word(obj, text: str):
-    if isinstance(obj, (GeneralPA, MoorePA, LinearAutomaton)):
-        alphabet = obj.inputs
-    elif isinstance(obj, MarkovChain):
-        alphabet = obj.signals
-    else:
-        alphabet = obj.alphabet
+    alphabet = obj.signals if isinstance(obj, MarkovChain) else obj.inputs
     try:
         return pio.parse_word(text, alphabet)
     except pio.SchemaError as exc:
@@ -104,15 +98,8 @@ def _word(obj, text: str):
 
 def cmd_validate(args) -> int:
     obj = _load(args.file, args.tol)
-    doc = pio.to_document(obj)
-    detail = ""
-    if isinstance(obj, (GeneralPA, MoorePA, LinearAutomaton)):
-        detail = f" states={obj.initial.size}"
-    elif isinstance(obj, (MarkovChain,)):
-        detail = f" states={obj.n_states}"
-    elif isinstance(obj, Dfa):
-        detail = f" states={obj.n_states}"
-    print(f"ok: kind={doc['kind']}{detail}")
+    detail = f" states={obj.n_states}" if hasattr(obj, "n_states") else ""
+    print(f"ok: kind={pio.to_document(obj)['kind']}{detail}")
     return 0
 
 
@@ -122,22 +109,17 @@ def cmd_react(args) -> int:
     if isinstance(obj, GeneralPA):
         if args.output is None:
             raise CliError("general_pa reactions need --output")
-        v = tuple(pio.parse_word(args.output, obj.outputs))
-        print(fmt(reaction(obj, u, v)))
-    elif isinstance(obj, MoorePA):
-        print(fmt(avg_reaction(obj, u)))
+        print(fmt(reaction(obj, u, pio.parse_word(args.output, obj.outputs))))
     else:
-        print(fmt(la_reaction(obj, u)))
+        print(fmt(avg_reaction(obj, u)))  # la_reaction is the same function
     return 0
 
 
 def cmd_reduce(args) -> int:
     obj = _expect(_load(args.file, args.tol), (GeneralPA, MoorePA), args.file)
-    before = obj.initial.size
-    reduce = reduce_general if isinstance(obj, GeneralPA) else reduce_avg
-    reduced = reduce(obj, args.tol)
+    reduced = (reduce_general if isinstance(obj, GeneralPA) else reduce_avg)(obj, args.tol)
     pio.save(reduced, args.output)
-    print(f"states: {before} -> {reduced.initial.size}")
+    print(f"states: {obj.n_states} -> {reduced.n_states}")
     return 0
 
 
@@ -146,14 +128,10 @@ def cmd_equiv(args) -> int:
     b = _load(args.b, args.tol)
     if type(a) is not type(b):
         raise CliError("cannot compare automata of different kinds")
-    if isinstance(a, GeneralPA):
-        same = equivalent(a, b, args.tol)
-    elif isinstance(a, MoorePA):
-        same = avg_equivalent(a, b, args.tol)
-    elif isinstance(a, LinearAutomaton):
-        same = la_equivalent(a, b, args.tol)
-    else:
+    decide = {GeneralPA: equivalent, MoorePA: avg_equivalent, LinearAutomaton: la_equivalent}
+    if type(a) not in decide:
         raise CliError("equiv supports general_pa, moore_pa and linear_automaton")
+    same = decide[type(a)](a, b, args.tol)
     print("equivalent" if same else "not equivalent")
     return 0 if same else 1
 
@@ -234,7 +212,10 @@ def cmd_stable(args) -> int:
 
 def cmd_definite(args) -> int:
     a = _expect(_load(args.file, args.tol), MoorePA, args.file)
-    rep = definite_rep(a, args.cutpoint, args.delta, tol=args.tol)
+    try:
+        rep = definite_rep(a, args.cutpoint, args.delta, tol=args.tol)
+    except (ValueError, AssertionError) as exc:  # suffix table over the limit; not suffix-determined
+        raise CliError(str(exc)) from None
     if rep is None:
         print("not derivable (needs positive matrices or ergodicity)")
         return 1

@@ -20,7 +20,7 @@ from .tolerances import Tolerances, resolve
 
 
 @dataclass(frozen=True, eq=False)
-class GeneralPA:
+class GeneralPA(kernel.Automaton):
     """A view of the kernel representation whose letters are the pairs (x, y).
 
     The stored letter tensor stacks the pair matrices inputs-major,
@@ -39,10 +39,6 @@ class GeneralPA:
         object.__setattr__(self, "initial", kernel.freeze(self.initial))
         kernel.store_letters(self, self._keys)
 
-    @property
-    def n_states(self) -> int:
-        return self.initial.size
-
     def matrix(self, x: str, y: str) -> np.ndarray:
         m = self.trans.get((x, y))
         if m is None:
@@ -57,9 +53,13 @@ class GeneralPA:
     def _final(self) -> np.ndarray:
         return np.ones(self.n_states)
 
-    def _like(self, letters, initial) -> "GeneralPA":
+    def _like(self, letters, initial, final) -> "GeneralPA":
         """Same alphabets over new kernel arrays; the final column stays ones."""
         return GeneralPA(self.inputs, self.outputs, kernel.Slices(self._keys, letters), initial)
+
+    def _tag(self, word):
+        """The (u, v) pair of a word of pair letters."""
+        return tuple(zip(*super()._tag(word))) or ((), ())
 
     def input_matrix(self, x: str) -> np.ndarray:
         """Sum over outputs: the stochastic matrix of the input letter."""
@@ -190,93 +190,50 @@ def residual_automaton(f: ReactionTable, tol: Tolerances | None = None) -> Gener
     return GeneralPA(f.inputs, f.outputs, kernel.Slices(keys, letters), initial)
 
 
-# --- basis matrices and equivalence -------------------------------------------
+# --- basis matrices, equivalence and reduction: the kernel's, on pair letters --------
 
 def basis_matrix(a: GeneralPA, tol: Tolerances | None = None):
-    """Basis of the column space spanned by the vectors A[u,v].ones.
+    """Basis of the column space spanned by the raw vectors A[u,v].ones.
 
     Returns (matrix, tags): columns in breadth-first discovery order with
     lexicographic (input, output) symbol order, tags giving the (u, v) pair
-    of each column.  The columns are raw, not orthonormalized.
+    of each column.
     """
-    s = kernel.span(a._final, a._letters, resolve(tol))
-    keys = a._keys
-    tags = [(tuple(keys[k][0] for k in w), tuple(keys[k][1] for k in w)) for w in s.tags]
-    return np.column_stack(s.columns), tags
+    return kernel.basis_matrix(a, resolve(tol))
 
 
-def distributions_equivalent(
-    a: GeneralPA, xi1, xi2, tol: Tolerances | None = None
-) -> bool:
+def distributions_equivalent(a: GeneralPA, xi1, xi2, tol: Tolerances | None = None) -> bool:
     """xi1 and xi2 produce the same reaction iff they agree against the basis."""
-    t = resolve(tol)
-    basis, _ = basis_matrix(a, t)
-    return kernel.basis_agrees(basis, xi1, xi2, t)
+    return kernel.distributions_equivalent(a, xi1, xi2, basis_matrix, resolve(tol))
 
 
-def disjoint_union(a1: GeneralPA, a2: GeneralPA) -> GeneralPA:
-    if a1.inputs != a2.inputs or a1.outputs != a2.outputs:
-        raise ValueError("alphabet mismatch")
-    init = np.concatenate([a1.initial, np.zeros(a2.n_states)])
-    return a1._like(kernel.block_union(a1._letters, a2._letters), init)
+disjoint_union = kernel.disjoint_union
 
 
 def equivalent(a1: GeneralPA, a2: GeneralPA, tol: Tolerances | None = None) -> bool:
     """Equality of reactions, decided on the disjoint union's basis matrix."""
-    union = disjoint_union(a1, a2)
-    xi2 = np.concatenate([np.zeros(a1.n_states), a2.initial])
-    return distributions_equivalent(union, union.initial, xi2, tol)
+    return kernel.equivalent(a1, a2, basis_matrix, resolve(tol))
 
-
-# --- reduction ------------------------------------------------------------------
 
 def reachable_part(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
     """Restrict to states carrying initial mass or reachable through a nonzero entry."""
-    letters, init, _ = kernel.restrict_reachable(a._letters, a.initial, a._final, resolve(tol))
-    return a._like(letters, init)
+    return kernel.reachable_part(a, resolve(tol))
 
 
 def find_convex_state(a: GeneralPA, tol: Tolerances | None = None):
-    """A state whose basis-matrix row is a convex combination of the others.
-
-    Returns (state, coefficients-over-remaining-states) or None.  States are
-    tried from the highest index down, matching the elimination normal form.
-    """
-    t = resolve(tol)
-    if a.n_states < 2:
-        return None
-    basis, _ = basis_matrix(a, t)
-    return kernel.convex_state(basis, t)
+    """(state, coefficients over the remaining states) of a convex basis row, or None."""
+    return kernel.find_convex_state(a, basis_matrix, resolve(tol))
 
 
-def remove_convex_state(
-    a: GeneralPA, s: int, coeffs: np.ndarray, tol: Tolerances | None = None
-) -> GeneralPA:
-    """Eliminate a convex-combination state, reindexing it last first.
-
-    With s moved to the last position, each A[x,y] becomes A[x,y].M for the
-    matrix M that rewrites the last coordinate as the certified mixture, and
-    the now-unreachable last state is dropped.
-    """
-    t = resolve(tol)
-    letters, init, _ = kernel.fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
-    basis, _ = basis_matrix(a, t)
-    others = np.delete(np.arange(a.n_states), s)
-    residual_err = linalg.norm_abs(basis[s] - np.asarray(coeffs, dtype=float) @ basis[others])
-    if residual_err > t.lp * 100.0 * max(1.0, linalg.norm_abs(basis)):
-        raise ValueError("certificate does not reproduce the basis row")
-    return a._like(letters, init)
+def remove_convex_state(a: GeneralPA, s: int, coeffs, tol: Tolerances | None = None) -> GeneralPA:
+    """Fold a certified convex-combination state into its mixture (ValueError if uncertified)."""
+    return kernel.remove_convex_state(a, s, coeffs, basis_matrix, resolve(tol))
 
 
 def reduce(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
-    """Strip unreachable states and eliminate convex combinations in one pass.
-
-    One basis matrix and one downward scan (`kernel.reduce_convex`): a fold
-    leaves the surviving states' rows unchanged and only shrinks the hull,
-    so no state needs a second look.
-    """
-    letters, init, _ = kernel.reduce_convex(a._letters, a.initial, a._final, resolve(tol))
-    return a._like(letters, init)
+    """Strip unreachable states and eliminate convex combinations in one pass
+    (`kernel.reduce_convex`)."""
+    return kernel.reduce_convex(a, resolve(tol))
 
 
 # --- cones of reactions ---------------------------------------------------------

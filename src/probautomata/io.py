@@ -17,6 +17,7 @@ import numpy as np
 
 from .dfa import Dfa, Word
 from .generalpa import GeneralPA
+from .kernel import LetterAutomaton
 from .linauto import LinearAutomaton, StringFunctionTable
 from .moorepa import MoorePA
 from .sequences import MarkovChain, RandomSequence
@@ -115,19 +116,10 @@ def to_document(obj) -> dict:
             "trans": {f"{x}|{y}": obj.matrix(x, y).tolist() for x in obj.inputs for y in obj.outputs},
             "initial": obj.initial.tolist(),
         }
-    if isinstance(obj, MoorePA):
+    if isinstance(obj, LetterAutomaton):
         return {
             "schema": SCHEMA_VERSION,
-            "kind": "moore_pa",
-            "inputs": list(obj.inputs),
-            "trans": {x: obj.matrix(x).tolist() for x in obj.inputs},
-            "initial": obj.initial.tolist(),
-            "lambda": obj.lam.tolist(),
-        }
-    if isinstance(obj, LinearAutomaton):
-        return {
-            "schema": SCHEMA_VERSION,
-            "kind": "linear_automaton",
+            "kind": "moore_pa" if isinstance(obj, MoorePA) else "linear_automaton",
             "inputs": list(obj.inputs),
             "trans": {x: obj.matrix(x).tolist() for x in obj.inputs},
             "initial": obj.initial.tolist(),

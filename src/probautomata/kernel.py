@@ -1,14 +1,20 @@
-"""The weighted-automaton kernel: each algorithm written once, on plain arrays.
+"""The weighted-automaton kernel: one automaton interface, each algorithm written once.
 
 GeneralPA, MoorePA, LinearAutomaton and MarkovChain are one object: an
-initial row `initial` (n,), one n-by-n matrix per letter stacked into
-`letters` (k, n, n) in the class's key order, and a final column `final`
-(n,).  For a GeneralPA the letters are the (input, output) pairs and the
-final column is all ones.  The automaton classes keep the letter tensor
-as their storage (`store_letters`; `trans` maps each key to a read-only
-slice of it) and are validated views of that object; their public
-functions translate keys and words at the API edge and call the
-functions here.
+initial row (n,), one n-by-n matrix per letter stacked into a (k, n, n)
+letter tensor in the class's key order, and a final column (n,).  For a
+GeneralPA the letters are the (input, output) pairs and the final column is
+all ones; MoorePA and LinearAutomaton (`LetterAutomaton`) read input letters
+with final column lam; a MarkovChain reads signals over a start state.
+
+`Automaton` is what the first three are views of: `_letters` in `_keys`
+order, stored once by `store_letters` (`trans` maps each key to a read-only
+slice), `initial`, `_final`, `_like` (the class over new arrays), `n_states`
+and `_tag` (the class's word for a span tag).  Written once on it: the basis
+matrix with tags, the disjoint union and equivalence, the reachable part,
+the convex-state search, its checked removal and the one-pass reduction;
+the per-class public functions are one-line calls.  Below them come the
+same algorithms on plain arrays.
 
 Every function on words (string-function tables, reactions, sequences) is
 one `ShortlexTable`, the `prefix_values` array in shortlex order; the table
@@ -30,7 +36,10 @@ from .tolerances import Tolerances
 
 
 def freeze(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float)
+    """A read-only float copy of a; a itself if it is a read-only float array owning its data."""
+    if isinstance(a, np.ndarray) and a.dtype == float and a.base is None and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -40,8 +49,8 @@ def freeze_map(matrices: dict) -> MappingProxyType:
 
 
 class Slices(dict):
-    """Key -> slice map of a fresh letter tensor, which `store_letters` keeps
-    as the automaton's storage without a copy."""
+    """Key -> slice map of a letter tensor, which `store_letters` takes whole
+    instead of re-stacking the slices."""
 
     def __init__(self, keys, tensor):
         super().__init__(zip(keys, tensor))
@@ -72,8 +81,25 @@ def store_letters(obj, keys) -> None:
     object.__setattr__(obj, "trans", MappingProxyType(dict(zip(keys, tensor))))
 
 
+class Automaton:
+    """The interface of every automaton class over the kernel representation.
+
+    A subclass holds `initial` and `_letters` (`store_letters`) and defines
+    `_keys` (its letters in tensor order), `_final` and `_like(letters,
+    initial, final)`; it overrides `_tag` when its words are not key tuples.
+    """
+
+    @property
+    def n_states(self) -> int:
+        return self.initial.size
+
+    def _tag(self, word: tuple[int, ...]):
+        """The class's word for a span tag of letter indices."""
+        return tuple(self._keys[k] for k in word)
+
+
 @dataclass(frozen=True, eq=False)
-class LetterAutomaton:
+class LetterAutomaton(Automaton):
     """Fields shared by MoorePA and LinearAutomaton.
 
     One matrix per input letter, stored as the slices of one letter tensor,
@@ -92,6 +118,9 @@ class LetterAutomaton:
         object.__setattr__(self, "lam", freeze(np.ravel(self.lam)))
         store_letters(self, self.inputs)
 
+    _keys = property(lambda self: self.inputs)
+    _final = property(lambda self: self.lam)
+
     def matrix(self, x: str) -> np.ndarray:
         m = self.trans.get(x)
         if m is None:
@@ -105,6 +134,112 @@ class LetterAutomaton:
         """Same class and alphabet over new kernel arrays."""
         return type(self)(self.inputs, Slices(self.inputs, letters), initial, final)
 
+
+# --- the algorithms on the interface ------------------------------------------------
+#
+# `basis_of` is the class's public basis-matrix function (a call of
+# `basis_matrix` below), passed in so that every basis goes through it.
+
+def basis_matrix(a: Automaton, t: Tolerances):
+    """Basis of the span of the raw columns L^u . final, with the class's word tags.
+
+    Columns in breadth-first discovery order, letters in key order.  A zero
+    final column spans nothing; its basis is one zero column, tagged with the
+    empty word.
+    """
+    s = span(a._final, a._letters, t)
+    if not s.columns:
+        return np.zeros((a.n_states, 1)), [a._tag(())]
+    return np.column_stack(s.columns), [a._tag(w) for w in s.tags]
+
+
+def distributions_equivalent(a: Automaton, xi1, xi2, basis_of, t: Tolerances) -> bool:
+    """Initial rows xi1 and xi2 give the same function iff they agree on the basis."""
+    basis, _ = basis_of(a, t)
+    diff = (np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)) @ basis
+    return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
+
+
+def disjoint_union(a1: Automaton, a2: Automaton) -> Automaton:
+    """Block-diagonal automaton of a1 and a2 over one alphabet, started in a1."""
+    if a1._keys != a2._keys:
+        raise ValueError("alphabet mismatch")
+    return a1._like(block_union(a1._letters, a2._letters),
+                    np.concatenate([a1.initial, np.zeros(a2.n_states)]),
+                    np.concatenate([a1._final, a2._final]))
+
+
+def equivalent(a1: Automaton, a2: Automaton, basis_of, t: Tolerances) -> bool:
+    """Equal functions iff both initial rows agree in the disjoint union."""
+    union = disjoint_union(a1, a2)
+    xi2 = np.concatenate([np.zeros(a1.n_states), a2.initial])
+    return distributions_equivalent(union, union.initial, xi2, basis_of, t)
+
+
+def reachable_part(a: Automaton, t: Tolerances) -> Automaton:
+    """Keep the states with initial mass or reachable through an entry > t.zero."""
+    idx = reachable_states(a._letters, a.initial, t)
+    return a._like(*restrict(a._letters, a.initial, a._final, idx))
+
+
+def find_convex_state(a: Automaton, basis_of, t: Tolerances):
+    """A state whose basis row is a convex combination of the others:
+    (state, coefficients over the remaining states) or None.
+
+    States are tried from the highest index down, the elimination normal form.
+    """
+    if a.n_states < 2:
+        return None
+    return convex_state(basis_of(a, t)[0], t)
+
+
+def remove_convex_state(a: Automaton, s: int, coeffs, basis_of, t: Tolerances) -> Automaton:
+    """Fold state s into the mixture coeffs of the others, after checking it.
+
+    The certificate must reproduce basis row s within 100 tol.lp relative to
+    the basis; otherwise ValueError.
+    """
+    folded = fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
+    basis, _ = basis_of(a, t)
+    residual = basis[s] - np.asarray(coeffs, dtype=float) @ np.delete(basis, s, axis=0)
+    if linalg.norm_abs(residual) > t.lp * 100.0 * max(1.0, linalg.norm_abs(basis)):
+        raise ValueError("certificate does not reproduce the basis row")
+    return a._like(*folded)
+
+
+def reduce_convex(a: Automaton, t: Tolerances) -> Automaton:
+    """Reachable part with every convex-combination state folded away, in one pass.
+
+    The basis matrix (rows: states; columns: the span of L^u . final) is
+    computed once, for the reachable part.  One downward pass of
+    `convex_state` then finds the highest convex state.  It is folded, its
+    row deleted, and the automaton restricted to its reachable states again,
+    dropping their rows too; the pass goes on below the state folded, with
+    the affine test of the smaller basis.  This is safe: a fold leaves
+    every surviving state's behaviour, hence its row, unchanged, and
+    removing rows only shrinks the hull, so a state that failed once cannot
+    pass later.  One basis and at most n certificates replace the fixed
+    point's O(n) bases and O(n^2) certificates.
+
+    Each certificate is checked once, by `convex_combination_certificate`
+    against the rows held here: its residual bound, 10 tol.lp relative to
+    the basis, is stricter than the 100 tol.lp of `remove_convex_state`.
+    """
+    a = reachable_part(a, t)
+    letters, initial, final = a._letters, a.initial, a._final
+    basis, _ = basis_matrix(a, t)
+    hit = convex_state(basis, t)
+    while hit is not None:
+        s, coeffs = hit
+        letters, initial, final = fold(letters, initial, final, s, coeffs)
+        idx = reachable_states(letters, initial, t)
+        letters, initial, final = restrict(letters, initial, final, idx)
+        basis = np.delete(basis, s, axis=0)[idx]
+        hit = convex_state(basis, t, int(np.searchsorted(idx, s)))
+    return a._like(letters, initial, final)
+
+
+# --- the algorithms on plain arrays -----------------------------------------------
 
 def word_product(start, matrices) -> np.ndarray:
     """start . M1 ... Mk, left to right, over the letter matrices of one word."""
@@ -157,7 +292,9 @@ def prefix_values(initial, letters, final, depth: int) -> np.ndarray:
     for _ in range(depth):
         rows = np.einsum("fn,knm->fkm", rows, letters).reshape(-1, rows.shape[1])
         values.append(rows @ final)
-    return np.concatenate(values)
+    out = np.concatenate(values)
+    out.setflags(write=False)  # fresh, so the table built on it need not copy it
+    return out
 
 
 class Span(NamedTuple):
@@ -203,12 +340,6 @@ def span(start, letters, t: Tolerances) -> Span:
         levels += 1
 
 
-def basis_agrees(basis, xi1, xi2, t: Tolerances) -> bool:
-    """Two initial rows agree on every column of the basis matrix."""
-    diff = (np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)) @ basis
-    return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
-
-
 def reachable_states(letters, initial, t: Tolerances) -> np.ndarray:
     """Indices of the states with initial mass or reachable through an entry > t.zero."""
     step = (letters > t.zero).any(axis=0)
@@ -223,11 +354,6 @@ def reachable_states(letters, initial, t: Tolerances) -> np.ndarray:
 def restrict(letters, initial, final, idx):
     """The automaton on the states idx."""
     return letters[:, idx[:, None], idx], initial[idx], final[idx]
-
-
-def restrict_reachable(letters, initial, final, t: Tolerances):
-    """Keep the states with initial mass or reachable through an entry > t.zero."""
-    return restrict(letters, initial, final, reachable_states(letters, initial, t))
 
 
 def convex_state(basis, t: Tolerances, below: int | None = None):
@@ -249,38 +375,6 @@ def convex_state(basis, t: Tolerances, below: int | None = None):
         if coeffs is not None:
             return int(s), coeffs
     return None
-
-
-def reduce_convex(letters, initial, final, t: Tolerances):
-    """Reachable part with every convex-combination state folded away, in one pass.
-
-    The basis matrix (rows: states; columns: the span of L^u . final) is
-    computed once, for the reachable part.  One downward pass of
-    `convex_state` then finds the highest convex state.  It is folded, its
-    row deleted, and the automaton restricted to its reachable states again,
-    dropping their rows too; the pass goes on below the state folded, with
-    the affine test of the smaller basis.  This is safe: a fold leaves
-    every surviving state's behaviour, hence its row, unchanged, and
-    removing rows only shrinks the hull, so a state that failed once cannot
-    pass later.  One basis and at most n certificates replace the fixed
-    point's O(n) bases and O(n^2) certificates.
-
-    Each certificate is checked once, by `convex_combination_certificate`
-    against the rows held here: its residual bound, 10 tol.lp relative to
-    the basis, is stricter than the 100 tol.lp of `remove_convex_state`.
-    """
-    letters, initial, final = restrict_reachable(letters, initial, final, t)
-    columns = span(final, letters, t).columns
-    basis = np.column_stack(columns) if columns else np.zeros((initial.size, 1))
-    hit = convex_state(basis, t)
-    while hit is not None:
-        s, coeffs = hit
-        letters, initial, final = fold(letters, initial, final, s, coeffs)
-        idx = reachable_states(letters, initial, t)
-        letters, initial, final = restrict(letters, initial, final, idx)
-        basis = np.delete(basis, s, axis=0)[idx]
-        hit = convex_state(basis, t, int(np.searchsorted(idx, s)))
-    return letters, initial, final
 
 
 def fold(letters, initial, final, s: int, coeffs):
@@ -386,6 +480,13 @@ class ShortlexTable(Mapping):
 
     def __iter__(self):
         return iter(words_upto(self.alphabet, self.depth))
+
+    def values(self) -> list[float]:
+        """The values in `__iter__` order, read from the array without ranking a word."""
+        return self.array.tolist()
+
+    def items(self) -> list[tuple]:
+        return list(zip(self, self.array.tolist()))
 
     def __len__(self) -> int:
         return self.array.size

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernel, linalg
 from .dfa import Dfa, Word, words_upto
-from .moorepa import MoorePA, dfa_to_pa
+from .moorepa import MoorePA, avg_reaction, dfa_to_pa
 from .tolerances import Tolerances, resolve
 
 
@@ -27,9 +27,7 @@ class LinearAutomaton(kernel.LetterAutomaton):
     (the final column); validation only checks shapes and finiteness.
     """
 
-    @property
-    def dim(self) -> int:
-        return self.initial.size
+    dim = kernel.Automaton.n_states
 
     def validate(self) -> "LinearAutomaton":
         n = self.dim
@@ -43,9 +41,7 @@ class LinearAutomaton(kernel.LetterAutomaton):
         return self
 
 
-def la_reaction(l: LinearAutomaton, u: Word, xi: np.ndarray | None = None) -> float:
-    row = l.initial if xi is None else np.asarray(xi, dtype=float)
-    return float(kernel.word_product(row, map(l.matrix, u)) @ l.lam)
+la_reaction = avg_reaction  # xi . L^u . lam, the same for every LetterAutomaton
 
 
 def la_table(l: LinearAutomaton, depth: int) -> "StringFunctionTable":
@@ -122,13 +118,9 @@ def chi_word(alphabet, word: Word, depth: int) -> StringFunctionTable:
 # --- the operation algebra ------------------------------------------------------
 
 def la_sum(l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:
-    if l1.inputs != l2.inputs:
-        raise ValueError("alphabet mismatch")
-    return l1._like(
-        kernel.block_union(l1._letters, l2._letters),
-        np.concatenate([l1.initial, l2.initial]),
-        np.concatenate([l1.lam, l2.lam]),
-    )
+    """The disjoint union started in both automata."""
+    union = kernel.disjoint_union(l1, l2)
+    return union._like(union._letters, np.concatenate([l1.initial, l2.initial]), union.lam)
 
 
 def la_product(l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:

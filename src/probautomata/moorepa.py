@@ -26,10 +26,6 @@ class MoorePA(kernel.LetterAutomaton):
     a numeric output column lam (the final column).
     """
 
-    @property
-    def n_states(self) -> int:
-        return self.initial.size
-
     def validate(self, tol: Tolerances | None = None) -> "MoorePA":
         t = resolve(tol)
         n = self.n_states
@@ -42,7 +38,7 @@ class MoorePA(kernel.LetterAutomaton):
 
 
 def avg_reaction(a: MoorePA, u: Word, xi: np.ndarray | None = None) -> float:
-    """Expected output after reading u: xi . A^u . lam."""
+    """Expected output after reading u: xi . A^u . lam (also `linauto.la_reaction`)."""
     row = a.initial if xi is None else np.asarray(xi, dtype=float)
     return float(kernel.word_product(row, map(a.matrix, u)) @ a.lam)
 
@@ -53,63 +49,43 @@ def avg_reaction_table(a: MoorePA, depth: int) -> kernel.ShortlexTable:
     return kernel.ShortlexTable(a.inputs, depth, values)
 
 
+# --- basis matrices, equivalence and reduction: the kernel's, on input letters ------
+
 def avg_basis_matrix(a: MoorePA, tol: Tolerances | None = None):
     """Basis of the span of the raw columns A^u . lam, with word tags."""
-    s = kernel.span(a.lam, a._letters, resolve(tol))
-    if not s.columns:  # identically-zero output column still spans something trivial
-        return np.zeros((a.n_states, 1)), [()]
-    return np.column_stack(s.columns), [tuple(a.inputs[k] for k in w) for w in s.tags]
+    return kernel.basis_matrix(a, resolve(tol))
 
 
 def avg_distributions_equivalent(a: MoorePA, xi1, xi2, tol: Tolerances | None = None) -> bool:
-    t = resolve(tol)
-    basis, _ = avg_basis_matrix(a, t)
-    return kernel.basis_agrees(basis, xi1, xi2, t)
+    return kernel.distributions_equivalent(a, xi1, xi2, avg_basis_matrix, resolve(tol))
 
 
-def moore_disjoint_union(a1: MoorePA, a2: MoorePA) -> MoorePA:
-    if a1.inputs != a2.inputs:
-        raise ValueError("alphabet mismatch")
-    return a1._like(
-        kernel.block_union(a1._letters, a2._letters),
-        np.concatenate([a1.initial, np.zeros(a2.n_states)]),
-        np.concatenate([a1.lam, a2.lam]),
-    )
+moore_disjoint_union = kernel.disjoint_union
 
 
 def avg_equivalent(a1: MoorePA, a2: MoorePA, tol: Tolerances | None = None) -> bool:
     """Equal averaged reactions, decided on the disjoint union's basis."""
-    union = moore_disjoint_union(a1, a2)
-    xi2 = np.concatenate([np.zeros(a1.n_states), a2.initial])
-    return avg_distributions_equivalent(union, union.initial, xi2, tol)
+    return kernel.equivalent(a1, a2, avg_basis_matrix, resolve(tol))
 
 
 def moore_reachable_part(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
-    return a._like(*kernel.restrict_reachable(a._letters, a.initial, a.lam, resolve(tol)))
+    return kernel.reachable_part(a, resolve(tol))
 
 
 def find_convex_state_avg(a: MoorePA, tol: Tolerances | None = None):
     """Convex-combination state of the averaged basis matrix, highest index first."""
-    t = resolve(tol)
-    if a.n_states < 2:
-        return None
-    basis, _ = avg_basis_matrix(a, t)
-    return kernel.convex_state(basis, t)
+    return kernel.find_convex_state(a, avg_basis_matrix, resolve(tol))
 
 
-def remove_convex_state_avg(a: MoorePA, s: int, coeffs: np.ndarray) -> MoorePA:
-    """Fold the convex state into the mixture: B^x = (E 0) A^x (E ; xi)."""
-    return a._like(*kernel.fold(a._letters, a.initial, a.lam, s, coeffs))
+def remove_convex_state_avg(a: MoorePA, s: int, coeffs, tol: Tolerances | None = None) -> MoorePA:
+    """Fold a certified convex state into the mixture: B^x = (E 0) A^x (E ; xi)."""
+    return kernel.remove_convex_state(a, s, coeffs, avg_basis_matrix, resolve(tol))
 
 
 def reduce_avg(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
-    """Strip unreachable states and eliminate convex combinations in one pass.
-
-    One averaged basis and one downward scan (`kernel.reduce_convex`): a fold
-    leaves the surviving states' rows unchanged and only shrinks the hull,
-    so no state needs a second look.
-    """
-    return a._like(*kernel.reduce_convex(a._letters, a.initial, a.lam, resolve(tol)))
+    """Strip unreachable states and eliminate convex combinations in one pass
+    (`kernel.reduce_convex`)."""
+    return kernel.reduce_convex(a, resolve(tol))
 
 
 # --- classification of general automata --------------------------------------

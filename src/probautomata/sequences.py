@@ -7,6 +7,7 @@ fabricate values beyond it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +130,14 @@ def transform(zeta: RandomSequence, a: GeneralPA) -> RandomSequence:
 
 @dataclass(frozen=True, eq=False)
 class MarkovChain:
+    """A labelled chain; `_letters` reads its signals as kernel letters.
+
+    Over a start state 0 and the chain's states 1..n, the first signal x is
+    the row xi . P_x (P_x: the 0/1 diagonal of the states labelled x) and
+    every later one the letter M . P_x; with final column ones,
+    start . L^u . 1 = xi . P_x1 M P_x2 ... M P_xk . 1.
+    """
+
     signals: tuple[str, ...]
     matrix: np.ndarray
     labels: tuple[str, ...]
@@ -154,39 +163,29 @@ class MarkovChain:
             raise ValueError("label outside the signal alphabet")
         return self
 
-    def signal_projector(self, x: str) -> np.ndarray:
-        """Diagonal 0/1 matrix selecting the states labeled x."""
-        if x not in self.signals:
-            raise KeyError(f"unknown signal {x!r}")
-        return np.diag([1.0 if lab == x else 0.0 for lab in self.labels])
+    @functools.cached_property
+    def _letters(self) -> np.ndarray:
+        n = self.n_states
+        if len(self.labels) != n:  # a short labelling would broadcast over the states
+            raise ValueError("labeling is not total")
+        masks = np.array([[lab == x for lab in self.labels] for x in self.signals], dtype=float)
+        letters = np.zeros((len(self.signals), n + 1, n + 1))
+        letters[:, 0, 1:] = self.initial * masks
+        letters[:, 1:, 1:] = self.matrix * masks[:, None, :]
+        return kernel.freeze(letters)
 
 
 def mc_function(m: MarkovChain, u: Word) -> float:
     """Probability that the chain emits the signals of u at times 0..|u|-1."""
-    u = tuple(u)
-    if not u:
-        return 1.0
-    row = m.initial @ m.signal_projector(u[0])
-    for x in u[1:]:
-        row = row @ m.matrix @ m.signal_projector(x)
-    return float(row.sum())
+    letters = dict(zip(m.signals, m._letters))  # KeyError for an unknown signal
+    start = linalg.point_distribution(m.n_states + 1, 0)
+    return float(kernel.word_product(start, map(letters.__getitem__, u)).sum())
 
 
 def mc_sequence(m: MarkovChain, depth: int) -> RandomSequence:
-    """Tabulate the chain's signal sequence to the given depth.
-
-    A start state 0 reads the first signal x as the row xi . P_x, and every
-    later signal as the letter M . P_x; with final column ones the value of
-    x1 ... xk is xi . P_x1 M P_x2 ... M P_xk . 1, as in `mc_function`, and the
-    empty word has mass exactly 1.
-    """
-    n = m.n_states
-    masks = np.array([[lab == x for lab in m.labels] for x in m.signals], dtype=float)
-    letters = np.zeros((len(m.signals), n + 1, n + 1))
-    letters[:, 0, 1:] = m.initial * masks
-    letters[:, 1:, 1:] = m.matrix * masks[:, None, :]
-    start = linalg.point_distribution(n + 1, 0)
-    values = kernel.prefix_values(start, letters, np.ones(n + 1), depth)
+    """Tabulate the chain's signal sequence to the given depth; the empty word has mass 1."""
+    start = linalg.point_distribution(m.n_states + 1, 0)
+    values = kernel.prefix_values(start, m._letters, np.ones(m.n_states + 1), depth)
     return RandomSequence(m.signals, depth, values)
 
 

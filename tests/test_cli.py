@@ -13,6 +13,7 @@ from probautomata import (
     StringFunctionTable,
     io as pio,
 )
+from probautomata import cli
 from probautomata.cli import main
 from probautomata.linauto import LinearAutomaton
 
@@ -214,6 +215,22 @@ def test_ergodic_and_stable(capsys, tmp_path):
     code, out, _ = run(capsys, "definite", str(path), "--cutpoint", "0.4", "--delta", "0.1")
     assert code == 0
     assert out == "definite k=12 suffix-classes=1 accepting=1\n"
+
+
+def test_definite_reports_errors_with_exit_2(capsys, monkeypatch):
+    # both letters mix so slowly that the suffix length k is 150, far over the table limit
+    code, out, err = run(capsys, "definite", str(DATA / "slow_mixing.json"),
+                         "--cutpoint", "0.5", "--delta", "0.05")
+    assert (code, out) == (2, "")
+    assert err == "error: suffix table of size |X|^150 exceeds the limit\n"
+
+    def not_determined(*args, **kwargs):
+        raise AssertionError("suffix determination failed at ('0',)")
+
+    monkeypatch.setattr(cli, "definite_rep", not_determined)
+    code, out, err = run(capsys, "definite", CANTOR, "--cutpoint", "0.5", "--delta", "0.1")
+    assert (code, out) == (2, "")
+    assert err == "error: suffix determination failed at ('0',)\n"
 
 
 def test_la_commands(tmp_path, capsys):

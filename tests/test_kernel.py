@@ -13,6 +13,7 @@ from probautomata import (
     LinearAutomaton,
     MarkovChain,
     MoorePA,
+    StringFunctionTable,
     avg_basis_matrix,
     avg_reaction_table,
     basis_matrix,
@@ -142,6 +143,17 @@ def test_letter_matrices_are_slices_of_one_stored_tensor():
             assert np.shares_memory(obj.trans[key], obj._letters)
             assert np.array_equal(obj.trans[key], obj._letters[k])
         assert not obj._letters.flags.writeable
+
+
+def test_construction_leaves_the_callers_arrays_writable():
+    init, lam, values = np.array([1.0, 0.0]), np.ones(2), np.arange(3.0)
+    a = MoorePA(("a",), {"a": np.eye(2)}, init, lam)
+    f = StringFunctionTable(("a",), 2, values)
+    init[0], lam[1], values[2] = 0.5, 7.0, -1.0
+    assert a.initial.tolist() == [1.0, 0.0] and a.lam.tolist() == [1.0, 1.0]
+    assert f.values.array.tolist() == [0.0, 1.0, 2.0]
+    assert not a.initial.flags.writeable and not f.values.array.flags.writeable
+    assert MoorePA(a.inputs, a.trans, a.initial, a.lam).initial is a.initial  # no copy when frozen
 
 
 def test_misshapen_letter_matrices_are_rejected_on_construction():

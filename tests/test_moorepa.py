@@ -118,6 +118,16 @@ def test_reduce_avg_three_state_mixture():
         assert avg_reaction(b, u) == pytest.approx(avg_reaction(a, u), abs=1e-9)
 
 
+def test_remove_convex_state_avg_rejects_a_wrong_certificate():
+    a = MoorePA(("a",), {"a": np.eye(3)}, np.ones(3) / 3.0, np.array([0.0, 1.0, 0.5]))
+    s, coeffs = find_convex_state_avg(a)
+    assert avg_equivalent(a, remove_convex_state_avg(a, s, coeffs))
+    with pytest.raises(ValueError, match="certificate"):
+        remove_convex_state_avg(a, s, np.array([0.75, 0.25]))
+    with pytest.raises(ValueError, match="wrong length"):
+        remove_convex_state_avg(a, s, coeffs[:1])
+
+
 def test_reduce_avg_minimal_unchanged(cantor):
     assert reduce_avg(cantor).n_states == 2
 

@@ -98,6 +98,13 @@ def test_mc_function_cycle():
     assert mc_function(chain, ("a", "b", "a", "b")) == pytest.approx(1.0)
 
 
+def test_chain_with_a_short_labelling_is_rejected():
+    chain = MarkovChain(("a", "b"), np.eye(2), ("a",), np.array([0.5, 0.5]))
+    for call in (chain.validate, lambda: mc_function(chain, ("a",)), lambda: mc_sequence(chain, 2)):
+        with pytest.raises(ValueError, match="labeling is not total"):
+            call()
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
 def test_mc_sequence_is_random_sequence(seed, n):

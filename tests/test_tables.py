@@ -101,6 +101,16 @@ def test_concat_ranks_are_the_ranks_of_concatenations():
     assert got.tolist() == [[table.rank(u + v) for v in words] for u in words]
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: la_table(gen.random_la(rng, 3, 2), 5).values,
+    lambda rng: reaction_table(gen.random_general_pa(rng, 3, 2, 2), 3).values,
+], ids=["words", "pairs"])
+def test_values_and_items_read_the_array_in_iteration_order(make):
+    table = make(np.random.default_rng(8))
+    assert list(table.values()) == [table[w] for w in table]
+    assert list(table.items()) == [(w, table[w]) for w in table]
+
+
 def test_view_is_a_read_only_mapping_in_shortlex_order():
     table = avg_reaction_table(gen.random_moore_pa(np.random.default_rng(3), 2, 2), 3)
     as_dict = dict(zip(enumerate_words(("a", "b"), 3), table.array.tolist()))
