@@ -329,8 +329,9 @@ def span(start, letters, t: Tolerances) -> Span:
     while True:
         new = []
         for i in last:
+            unit = sub.basis[i]
             for k, m in enumerate(letters):
-                if sub.try_add(m @ sub.basis[i]):
+                if sub.try_add(m @ unit):
                     new.append(len(columns))
                     columns.append(m @ columns[i])
                     tags.append((k,) + tags[i])

@@ -4,12 +4,13 @@ Norms, Kronecker products, boolean matrix patterns, incremental subspace
 tracking (classical Gram-Schmidt applied twice over a basis array), a
 small dense two-phase simplex solver with Bland's rule, each pivot one
 rank-1 array update, and convex-combination certificates without it: a
-box test prunes, a Lawson-Hanson nonnegative least-squares fit finds the
-coefficients, a residual check accepts them.  All matrices are plain numpy
-float64 arrays.
+box test prunes, a Lawson-Hanson nonnegative least-squares fit started at
+the minimum-norm fit finds the coefficients, a residual check accepts them.
+All matrices are plain numpy float64 arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,8 +162,8 @@ class Subspace:
 
     def contains(self, v) -> bool:
         v = self._vector(v)
-        thresh = self.tol.rank * max(1.0, float(np.linalg.norm(v)))
-        return bool(np.linalg.norm(self._residual(v)) <= thresh)
+        r = self._residual(v)
+        return math.sqrt(r @ r) <= self.tol.rank * max(1.0, math.sqrt(v @ v))
 
     def try_add(self, v) -> bool:
         """Add v if it is independent of the current span; return True if it grew."""
@@ -170,8 +171,8 @@ class Subspace:
         if self._dim >= self.ambient_dim:
             return False
         r = self._residual(v)
-        nrm = float(np.linalg.norm(r))
-        if nrm <= self.tol.rank * max(1.0, float(np.linalg.norm(v))):
+        nrm = math.sqrt(r @ r)
+        if nrm <= self.tol.rank * max(1.0, math.sqrt(v @ v)):
             return False
         if self._dim == self._rows.shape[0]:
             grown = np.empty((min(2 * self._dim, self.ambient_dim), self.ambient_dim))
@@ -305,9 +306,13 @@ def convex_combination_certificate(
     Prune, fit, check.  The box test refutes rows[s] when some column lies
     outside the other rows' [min, max] by more than the check's residual
     scale.  Otherwise the coefficients are the nonnegative least-squares fit
-    of [W^T; r] x = [rows[s]; r] started from zero, with W the other rows and
-    the ones row r scaled to the rows' magnitude, so the sum counts at every
-    scale.  They are accepted iff they sum to 1 and reproduce rows[s] to
+    of [W^T; r] x = [rows[s]; r], with W the other rows and the ones row r
+    scaled to the rows' magnitude, so the sum counts at every scale.  The
+    fit starts at the minimum-norm least-squares solution clipped at 0: when
+    that is already nonnegative it is the answer, the minimum-norm mixture
+    (one of many when another removable row is among the others), and
+    otherwise only its negative coefficients are walked back.  The
+    coefficients are accepted iff they sum to 1 and reproduce rows[s] to
     10 tol.lp relative to the rows; the returned vector is indexed over the
     rows with s removed.
     """
@@ -322,8 +327,9 @@ def convex_combination_certificate(
     scale = t.lp * max(1.0, magnitude) * 10.0
     if np.any(target < w.min(axis=0) - scale) or np.any(target > w.max(axis=0) + scale):
         return None
-    coeffs = _nnls(np.vstack([w.T, np.full(n - 1, magnitude)]),
-                   np.append(target, magnitude), np.zeros(n - 1))
+    a = np.vstack([w.T, np.full(n - 1, magnitude)])
+    b = np.append(target, magnitude)
+    coeffs = _nnls(a, b, np.linalg.lstsq(a, b, rcond=None)[0])
     if abs(coeffs.sum() - 1.0) > max(t.lp * 10.0, t.sum):
         return None
     return coeffs if norm_abs(target - coeffs @ w) <= scale else None
@@ -331,29 +337,46 @@ def convex_combination_certificate(
 
 def _nnls(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """argmin |a.x - b| over x >= 0, by the active-set method of Lawson & Hanson
-    (1974) started from the feasible point x and its support."""
+    (1974) started from x clipped at 0 and its support.
+
+    As in their Fortran code, a candidate whose coefficient in the next fit
+    is <= 0 (its positive dual was round-off) is rejected: it leaves the
+    passive set again, x is kept, and the next-largest dual is tried.  The
+    rejections hold until a variable is added.
+    """
     n = a.shape[1]
     tol = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
     x = np.clip(x, 0.0, None)
     passive = x > 0.0
+    z = _passive_fit(a, b, passive)
     for _ in range(3 * n):
-        # least squares on the passive set, stepping back towards x and
-        # freeing the variables that reach 0 until the fit is positive
-        while True:
-            z = np.zeros(n)
-            if passive.any():
-                z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            if not passive.any() or z[passive].min() > 0.0:
-                break
+        # step back towards x, freeing the variables that reach 0, until the
+        # fit on the passive set is positive
+        while passive.any() and z[passive].min() <= 0.0:
             down = passive & (z <= 0.0)
             alpha = np.min(x[down] / np.maximum(x[down] - z[down], np.finfo(float).tiny))
             x += alpha * (z - x)
             passive &= x > tol
+            z = _passive_fit(a, b, passive)
         x = z
         grad = a.T @ (b - a @ x)
         grad[passive] = -np.inf
-        j = int(np.argmax(grad))
-        if grad[j] <= 0.0:
-            break
-        passive[j] = True
+        while True:
+            j = int(np.argmax(grad))
+            if grad[j] <= 0.0:
+                return x
+            passive[j] = True
+            z = _passive_fit(a, b, passive)
+            if z[j] > 0.0:
+                break
+            passive[j] = False
+            grad[j] = -np.inf
     return x
+
+
+def _passive_fit(a: np.ndarray, b: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Least-squares fit of b on the passive columns of a, 0 elsewhere."""
+    z = np.zeros(a.shape[1])
+    if passive.any():
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+    return z

@@ -27,3 +27,12 @@ def cantor():
         initial=np.array([1.0, 0.0]),
         lam=np.array([0.0, 1.0]),
     ).validate()
+
+
+@pytest.fixture
+def lstsq_calls(monkeypatch):
+    """A list that grows by one entry with each `np.linalg.lstsq` call."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(1) or lstsq(*args, **kw))
+    return calls

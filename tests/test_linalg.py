@@ -242,6 +242,28 @@ def test_nnls_matches_subset_enumeration(seed, rows, cols):
         assert np.linalg.norm(a @ x - b) == pytest.approx(best, abs=1e-9)
 
 
+def test_nnls_rejects_round_off_candidates(lstsq_calls):
+    # consistent rank-deficient systems: once the fit is exact, the duals
+    # are round-off, and a walk that re-adds a candidate whose coefficient
+    # comes out <= 0 cycles to its iteration cap (3n fits and more)
+    n, r = 12, 9
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(r + 1, r)) @ rng.normal(size=(r, n))
+        b = a @ rng.random(n)
+        # b lies in the cone of the columns, so the optimum residual is 0;
+        # the subset enumeration confirms it on the first systems
+        best = brute_nnls_residual(a, b) if seed < 10 else 0.0
+        starts = (np.zeros(n), rng.random(n) * (rng.random(n) < 0.5),
+                  np.linalg.lstsq(a, b, rcond=None)[0])
+        for start in starts:
+            lstsq_calls.clear()
+            x = linalg._nnls(a, b, start)
+            assert len(lstsq_calls) <= 2 * n
+            assert x.min() >= 0.0
+            assert np.linalg.norm(a @ x - b) == pytest.approx(best, abs=1e-9)
+
+
 def test_lp_three_row_convex_instance():
     # averaged-basis rows of the three-state identity-transition automaton
     # with outputs (0, 1, 0.5): the third row is the midpoint of the others

@@ -263,6 +263,14 @@ def test_reduce_avg_fits_only_the_planted_states(fits):
     assert len(planted) <= len(fits) <= len(planted) + 2
 
 
+def test_reduce_avg_fits_the_planted_states_in_a_few_solves(lstsq_calls):
+    # each certificate starts at the minimum-norm fit, which is already the
+    # mixture here, instead of adding the other states one solve at a time
+    a, planted = _ill_conditioned()
+    reduce_avg(a)
+    assert len(lstsq_calls) <= 4 * len(planted)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(-6.0, 6.0))
 @example(-6.0)
