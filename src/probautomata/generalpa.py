@@ -24,8 +24,8 @@ class GeneralPA(kernel.Automaton):
     """A view of the kernel representation whose letters are the pairs (x, y).
 
     The stored letter tensor stacks the pair matrices inputs-major,
-    outputs-minor, and `trans` maps each pair to its slice; the final column
-    is all ones.
+    outputs-minor, in the order of `_keys` (built once), and `trans` maps
+    each pair to its slice; the final column is all ones.
     """
 
     inputs: tuple[str, ...]
@@ -37,6 +37,7 @@ class GeneralPA(kernel.Automaton):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "initial", kernel.freeze(self.initial))
+        object.__setattr__(self, "_keys", tuple(product(self.inputs, self.outputs)))
         kernel.store_letters(self, self._keys)
 
     def matrix(self, x: str, y: str) -> np.ndarray:
@@ -44,10 +45,6 @@ class GeneralPA(kernel.Automaton):
         if m is None:
             raise KeyError(f"unknown input/output pair ({x!r}, {y!r})")
         return m
-
-    @property
-    def _keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple((x, y) for x in self.inputs for y in self.outputs)
 
     @property
     def _final(self) -> np.ndarray:
@@ -204,7 +201,7 @@ def basis_matrix(a: GeneralPA, tol: Tolerances | None = None):
 
 def distributions_equivalent(a: GeneralPA, xi1, xi2, tol: Tolerances | None = None) -> bool:
     """xi1 and xi2 produce the same reaction iff they agree against the basis."""
-    return kernel.distributions_equivalent(a, xi1, xi2, basis_matrix, resolve(tol))
+    return kernel.distributions_equivalent(a, xi1, xi2, resolve(tol))
 
 
 disjoint_union = kernel.disjoint_union
@@ -212,7 +209,7 @@ disjoint_union = kernel.disjoint_union
 
 def equivalent(a1: GeneralPA, a2: GeneralPA, tol: Tolerances | None = None) -> bool:
     """Equality of reactions, decided on the disjoint union's basis matrix."""
-    return kernel.equivalent(a1, a2, basis_matrix, resolve(tol))
+    return kernel.equivalent(a1, a2, resolve(tol))
 
 
 def reachable_part(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:

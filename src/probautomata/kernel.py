@@ -16,6 +16,11 @@ the convex-state search, its checked removal and the one-pass reduction;
 the per-class public functions are one-line calls.  Below them come the
 same algorithms on plain arrays.
 
+Every span is the generator `krylov`, which returns once the span fills
+the space; `span` collects it, and the equivalence test consumes it and
+stops at the first column on which the two initial rows provably differ
+(Tzeng's basis method, SIAM J. Comput. 1992, ending early).
+
 Every function on words (string-function tables, reactions, sequences) is
 one `ShortlexTable`, the `prefix_values` array in shortlex order; the table
 types of the other modules are validated views of it.
@@ -138,7 +143,8 @@ class LetterAutomaton(Automaton):
 # --- the algorithms on the interface ------------------------------------------------
 #
 # `basis_of` is the class's public basis-matrix function (a call of
-# `basis_matrix` below), passed in so that every basis goes through it.
+# `basis_matrix` below), passed to the convex-state search and removal so
+# that their bases go through it; equivalence runs `krylov` itself.
 
 def basis_matrix(a: Automaton, t: Tolerances):
     """Basis of the span of the raw columns L^u . final, with the class's word tags.
@@ -153,11 +159,34 @@ def basis_matrix(a: Automaton, t: Tolerances):
     return np.column_stack(s.columns), [a._tag(w) for w in s.tags]
 
 
-def distributions_equivalent(a: Automaton, xi1, xi2, basis_of, t: Tolerances) -> bool:
-    """Initial rows xi1 and xi2 give the same function iff they agree on the basis."""
-    basis, _ = basis_of(a, t)
-    diff = (np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)) @ basis
-    return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
+def distributions_equivalent(a: Automaton, xi1, xi2, t: Tolerances) -> bool:
+    """Initial rows xi1 and xi2 give the same function iff they agree on the basis.
+
+    The basis is the columns of `basis_matrix`, built by `krylov`; with
+    d = xi1 - xi2, the rows agree when every entry of d . B is within
+    10 t.rank relative to the largest basis entry.  The span stops at the
+    first column c on which the rows already disagree by more than that at
+    B = ||final|| max(1, rho (1 + 4 n u))^n, an a-priori bound on every basis
+    entry (rho the largest row abs-sum of a letter, u the unit roundoff):
+    |d . c| less 4 n u |d| . |c|, twice the rounding bound of this dot
+    product and of the full test's, so the full test would refute too.
+    When B is not finite (an unvalidated or weighted input) every column
+    is built.
+    """
+    d = np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)
+    n, final = a.n_states, a._final
+    u = np.finfo(float).eps / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.abs(a._letters).sum(axis=2).max(initial=0.0)
+        bound = linalg.norm_abs(final) * np.maximum(1.0, rho * (1.0 + 4 * n * u)) ** n
+    refute = t.rank * max(1.0, bound) * 10.0 if np.isfinite(bound) else np.inf
+    columns, abs_d = [], np.abs(d)
+    for column, _ in krylov(linalg.Subspace(n, t), final, a._letters):
+        if abs(d @ column) - 4 * n * u * (abs_d @ np.abs(column)) > refute:
+            return False
+        columns.append(column)
+    basis = np.column_stack(columns) if columns else np.zeros((n, 1))
+    return bool(np.max(np.abs(d @ basis)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
 
 
 def disjoint_union(a1: Automaton, a2: Automaton) -> Automaton:
@@ -169,11 +198,11 @@ def disjoint_union(a1: Automaton, a2: Automaton) -> Automaton:
                     np.concatenate([a1._final, a2._final]))
 
 
-def equivalent(a1: Automaton, a2: Automaton, basis_of, t: Tolerances) -> bool:
+def equivalent(a1: Automaton, a2: Automaton, t: Tolerances) -> bool:
     """Equal functions iff both initial rows agree in the disjoint union."""
     union = disjoint_union(a1, a2)
     xi2 = np.concatenate([np.zeros(a1.n_states), a2.initial])
-    return distributions_equivalent(union, union.initial, xi2, basis_of, t)
+    return distributions_equivalent(union, union.initial, xi2, t)
 
 
 def reachable_part(a: Automaton, t: Tolerances) -> Automaton:
@@ -307,26 +336,43 @@ class Span(NamedTuple):
 def span(start, letters, t: Tolerances) -> Span:
     """Krylov span of the columns L^u . start, breadth-first by word length.
 
-    A column L^u . start is kept when it is independent of the columns kept
-    before it.  Each level extends only the previous level's new columns:
-    the older columns' images were already tried against a smaller span.
+    The columns and tags are those `krylov` yields.  `levels`, the word
+    lengths past 0 that added a column, is the length of the last tag: a
+    level adds a column only when the level before it did.
     A forward span of the rows start . L^u is the same call on
     letters.transpose(0, 2, 1).
+    """
+    sub = linalg.Subspace(len(start), t)
+    columns, tags = [], []
+    for column, tag in krylov(sub, start, letters):
+        columns.append(column)
+        tags.append(tag)
+    return Span(columns, tags, len(tags[-1]) if tags else 0, sub.basis)
+
+
+def krylov(sub: linalg.Subspace, start, letters):
+    """Yield (L^u . start, u) for each column L^u . start independent of those before it.
+
+    Breadth-first by word length, letters in index order; u is a tuple of
+    letter indices, outermost letter first.  Each level extends only the
+    previous level's new columns: the older columns' images were already
+    tried against a smaller span.  Returns once `sub`, which the accepted
+    columns extend, fills its ambient dimension: no later column can be new.
 
     The independence test extends the unit basis vector accepted with each
     column and the start divided by its max-abs norm, not the raw columns:
     the rank test of `linalg.Subspace` is absolute for short vectors, and the
     raw columns of a small-weight automaton shrink with the word length.  In
-    exact arithmetic both keep the same words; the returned columns are raw.
+    exact arithmetic both keep the same words; the yielded columns are raw.
     """
-    sub = linalg.Subspace(len(start), t)
     scale = linalg.norm_abs(start)
     if scale == 0.0:
-        return Span([], [], 0, sub.basis)
+        return
     sub.try_add(np.asarray(start, dtype=float) / scale)
     columns, tags = [np.array(start, dtype=float)], [()]
-    last, levels = [0], 0
-    while True:
+    yield columns[0], tags[0]
+    last = [0]
+    while last and sub.dim < sub.ambient_dim:
         new = []
         for i in last:
             unit = sub.basis[i]
@@ -335,10 +381,10 @@ def span(start, letters, t: Tolerances) -> Span:
                     new.append(len(columns))
                     columns.append(m @ columns[i])
                     tags.append((k,) + tags[i])
-        if not new:
-            return Span(columns, tags, levels, sub.basis)
+                    yield columns[-1], tags[-1]
+                    if sub.dim == sub.ambient_dim:
+                        return
         last = new
-        levels += 1
 
 
 def reachable_states(letters, initial, t: Tolerances) -> np.ndarray:

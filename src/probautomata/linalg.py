@@ -309,7 +309,7 @@ def convex_combination_certificate(
     of [W^T; r] x = [rows[s]; r], with W the other rows and the ones row r
     scaled to the rows' magnitude, so the sum counts at every scale.  The
     fit starts at the minimum-norm least-squares solution clipped at 0: when
-    that is already nonnegative it is the answer, the minimum-norm mixture
+    that is already positive it is the answer, the minimum-norm mixture
     (one of many when another removable row is among the others), and
     otherwise only its negative coefficients are walked back.  The
     coefficients are accepted iff they sum to 1 and reproduce rows[s] to
@@ -329,21 +329,28 @@ def convex_combination_certificate(
         return None
     a = np.vstack([w.T, np.full(n - 1, magnitude)])
     b = np.append(target, magnitude)
-    coeffs = _nnls(a, b, np.linalg.lstsq(a, b, rcond=None)[0])
+    coeffs = _nnls(a, b)
     if abs(coeffs.sum() - 1.0) > max(t.lp * 10.0, t.sum):
         return None
     return coeffs if norm_abs(target - coeffs @ w) <= scale else None
 
 
-def _nnls(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _nnls(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:
     """argmin |a.x - b| over x >= 0, by the active-set method of Lawson & Hanson
     (1974) started from x clipped at 0 and its support.
+
+    Without x the start is the minimum-norm least-squares solution; when it
+    is positive it is its own first passive fit, so it is returned at once.
 
     As in their Fortran code, a candidate whose coefficient in the next fit
     is <= 0 (its positive dual was round-off) is rejected: it leaves the
     passive set again, x is kept, and the next-largest dual is tried.  The
     rejections hold until a variable is added.
     """
+    if x is None:
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        if (x > 0.0).all():
+            return x
     n = a.shape[1]
     tol = 10.0 * np.finfo(float).eps * np.abs(a).sum(axis=0).max() * max(a.shape)
     x = np.clip(x, 0.0, None)

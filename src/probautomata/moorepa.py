@@ -57,7 +57,7 @@ def avg_basis_matrix(a: MoorePA, tol: Tolerances | None = None):
 
 
 def avg_distributions_equivalent(a: MoorePA, xi1, xi2, tol: Tolerances | None = None) -> bool:
-    return kernel.distributions_equivalent(a, xi1, xi2, avg_basis_matrix, resolve(tol))
+    return kernel.distributions_equivalent(a, xi1, xi2, resolve(tol))
 
 
 moore_disjoint_union = kernel.disjoint_union
@@ -65,7 +65,7 @@ moore_disjoint_union = kernel.disjoint_union
 
 def avg_equivalent(a1: MoorePA, a2: MoorePA, tol: Tolerances | None = None) -> bool:
     """Equal averaged reactions, decided on the disjoint union's basis."""
-    return kernel.equivalent(a1, a2, avg_basis_matrix, resolve(tol))
+    return kernel.equivalent(a1, a2, resolve(tol))
 
 
 def moore_reachable_part(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:

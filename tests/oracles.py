@@ -2,10 +2,13 @@
 
 These deliberately avoid the library's own algorithms: table convolutions by
 direct summation over factorizations, convex-combination detection by grid
-search over the simplex, iteration by summing convolution powers.  The one
-exception is `lp_convex_certificate`, the simplex certificate the library
-used before its prune-then-NNLS certificate, kept as the reference that one
-must decide like.
+search over the simplex, iteration by summing convolution powers.  The
+exceptions are earlier versions of the library's own code, kept as the
+references their replacements must decide like: `lp_convex_certificate`,
+the simplex certificate before the prune-then-NNLS one, and `full_span` and
+`full_basis_distributions_equivalent`, the Krylov span that tried every
+letter until a level added nothing and the equivalence that built the whole
+basis before comparing.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from probautomata import Tolerances, linalg
+from probautomata import Tolerances, kernel, linalg
 
 
 def grid_convex_certificate(rows: np.ndarray, s: int, step: float = 1e-3,
@@ -151,6 +154,45 @@ def loop_subspace_accepts(vectors, rank_tol: float = 1e-9) -> list[bool]:
             basis.append(r / nrm)
         verdicts.append(ok)
     return verdicts
+
+
+def full_span(start, letters, t: Tolerances) -> kernel.Span:
+    """Krylov span that tries every letter on each level's new columns until a
+    level adds none, also after the subspace is full."""
+    sub = linalg.Subspace(len(start), t)
+    scale = linalg.norm_abs(start)
+    if scale == 0.0:
+        return kernel.Span([], [], 0, sub.basis)
+    sub.try_add(np.asarray(start, dtype=float) / scale)
+    columns, tags = [np.array(start, dtype=float)], [()]
+    last, levels = [0], 0
+    while True:
+        new = []
+        for i in last:
+            unit = sub.basis[i]
+            for k, m in enumerate(letters):
+                if sub.try_add(m @ unit):
+                    new.append(len(columns))
+                    columns.append(m @ columns[i])
+                    tags.append((k,) + tags[i])
+        if not new:
+            return kernel.Span(columns, tags, levels, sub.basis)
+        last = new
+        levels += 1
+
+
+def full_basis_distributions_equivalent(a, xi1, xi2, t: Tolerances) -> bool:
+    """The equivalence test on the whole `full_span` basis of a's final column."""
+    columns = full_span(a._final, a._letters, t).columns
+    basis = np.column_stack(columns) if columns else np.zeros((a.n_states, 1))
+    diff = (np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)) @ basis
+    return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
+
+
+def full_basis_equivalent(a1, a2, t: Tolerances) -> bool:
+    union = kernel.disjoint_union(a1, a2)
+    xi2 = np.concatenate([np.zeros(a1.n_states), a2.initial])
+    return full_basis_distributions_equivalent(union, union.initial, xi2, t)
 
 
 def loop_lp_solve(c, a_eq, b_eq, tol: float = 1e-9):

@@ -264,6 +264,22 @@ def test_nnls_rejects_round_off_candidates(lstsq_calls):
             assert np.linalg.norm(a @ x - b) == pytest.approx(best, abs=1e-9)
 
 
+def test_a_positive_min_norm_start_is_the_fit(lstsq_calls):
+    # a strict mixture of independent rows: the minimum-norm least-squares
+    # solution is the positive mixture and the first passive fit would
+    # re-solve the same system
+    rng = np.random.default_rng(7)
+    w = rng.random((4, 9))
+    mixture = np.array([0.1, 0.2, 0.3, 0.4])
+    rows = np.vstack([w[:2], mixture @ w, w[2:]])
+    coeffs = convex_combination_certificate(rows, 2)
+    assert len(lstsq_calls) == 1
+    assert coeffs == pytest.approx(mixture, abs=1e-12)
+    magnitude = norm_abs(rows)
+    a, b = np.vstack([w.T, np.full(4, magnitude)]), np.append(rows[2], magnitude)
+    assert np.array_equal(coeffs, linalg._nnls(a, b, np.linalg.lstsq(a, b, rcond=None)[0]))
+
+
 def test_lp_three_row_convex_instance():
     # averaged-basis rows of the three-state identity-transition automaton
     # with outputs (0, 1, 0.5): the third row is the midpoint of the others
