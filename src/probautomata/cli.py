@@ -139,21 +139,31 @@ def cmd_equiv(args) -> int:
 def cmd_lang_member(args) -> int:
     a = _expect(_load(args.file, args.tol), MoorePA, args.file)
     u = _word(a, args.input)
-    hit = member(a, args.cutpoint, u)
+    try:
+        hit = member(a, args.cutpoint, u)
+    except ValueError as exc:  # exit 1 means "not member"
+        raise CliError(str(exc)) from None
     print("member" if hit else "not member")
     return 0 if hit else 1
 
 
 def cmd_lang_enum(args) -> int:
     a = _expect(_load(args.file, args.tol), MoorePA, args.file)
-    for u in enumerate_members(a, args.cutpoint, args.max_len):
+    try:
+        members = enumerate_members(a, args.cutpoint, args.max_len)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    for u in members:
         print(fmt_word(u))
     return 0
 
 
 def cmd_lang_shift(args) -> int:
     a = _expect(_load(args.file, args.tol), MoorePA, args.file)
-    shifted = shift_cutpoint(a, args.src_cut, args.dst_cut)
+    try:
+        shifted = shift_cutpoint(a, args.src_cut, args.dst_cut)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     pio.save(shifted, args.output)
     print(f"cutpoint: {fmt(args.src_cut)} -> {fmt(args.dst_cut)}; states: "
           f"{a.n_states} -> {shifted.n_states}")

@@ -146,10 +146,9 @@ def dfa_to_dot(d: Dfa, name: str = "dfa") -> str:
 
 
 def words_upto(alphabet: tuple[str, ...], max_len: int):
-    """All words of length <= max_len in shortlex order (alphabet order)."""
-    yield ()
-    for length in range(1, max_len + 1):
-        yield from words_of_length(alphabet, length)
+    """All words of length <= max_len in shortlex order (alphabet order); none if max_len < 0."""
+    return itertools.chain.from_iterable(
+        words_of_length(alphabet, length) for length in range(max_len + 1))
 
 
 def words_of_length(alphabet: tuple[str, ...], length: int):

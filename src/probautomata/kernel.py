@@ -315,11 +315,27 @@ def prefix_values(initial, letters, final, depth: int) -> np.ndarray:
 
     One level at a time: the rows initial . L^u of a level, in shortlex
     order, times every letter give the next level's rows in shortlex order.
+    Entry m of row ux is the sum over j = 0 .. n-1, in that order and
+    starting from +0.0, of the products L^x[j, m] * row_u[j]; each product
+    and each addition is one exactly rounded ufunc over the whole level, so
+    the rows have the same bits on every CPU and BLAS kernel (only each
+    level's `rows @ final` calls BLAS).  A gemm would be faster, but it
+    sums in the BLAS kernel's order.  The +0.0 start makes a sum of -0.0
+    products +0.0.
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     rows = np.asarray(initial, dtype=float)[None, :]
+    letters = np.asarray(letters, dtype=float)
+    k, n, _ = letters.shape
+    side = letters.transpose(1, 0, 2).reshape(n, k * n)  # side[j, x n + m] = L^x[j, m]
     values = [rows @ final]
     for _ in range(depth):
-        rows = np.einsum("fn,knm->fkm", rows, letters).reshape(-1, rows.shape[1])
+        cols = np.ascontiguousarray(rows.T)  # unit-stride rows for the outer products
+        acc = np.zeros((k * n, len(rows)))
+        for j in range(n):
+            acc += np.multiply.outer(side[j], cols[j])
+        rows = acc.T.reshape(-1, n)
         values.append(rows @ final)
     out = np.concatenate(values)
     out.setflags(write=False)  # fresh, so the table built on it need not copy it

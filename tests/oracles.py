@@ -8,7 +8,8 @@ references their replacements must decide like: `lp_convex_certificate`,
 the simplex certificate before the prune-then-NNLS one, and `full_span` and
 `full_basis_distributions_equivalent`, the Krylov span that tried every
 letter until a level added nothing and the equivalence that built the whole
-basis before comparing.
+basis before comparing, and `generator_words_upto`, the shortlex word
+generator that yielded one word per resumption.
 """
 from __future__ import annotations
 
@@ -287,6 +288,39 @@ def enumerate_words(alphabet, max_len: int):
         frontier = [u + (x,) for u in frontier for x in alphabet]
         out.extend(frontier)
     return out
+
+
+def generator_words_upto(alphabet, max_len: int):
+    yield ()
+    for length in range(1, max_len + 1):
+        yield from itertools.product(alphabet, repeat=length)
+
+
+def loop_prefix_values(initial, letters, final, depth: int) -> np.ndarray:
+    """initial . L^u . final for |u| <= depth in shortlex order, one Python float at a time.
+
+    Entry m of the row of ux is a sum started at 0.0 of L^x[j, m] * row_u[j]
+    for j = 0 .. n-1; Python floats never fuse a multiply with an add, so
+    each step is exactly rounded.  Each level's values are `level_rows @ final`.
+    """
+    final = np.asarray(final, dtype=float)
+    matrices = np.asarray(letters, dtype=float).tolist()
+    level = [np.asarray(initial, dtype=float).tolist()]
+    values = [np.array(level) @ final]
+    for _ in range(depth):
+        nxt = []
+        for row in level:
+            for matrix in matrices:
+                out = []
+                for m in range(len(row)):
+                    acc = 0.0
+                    for j, r in enumerate(row):
+                        acc += matrix[j][m] * r
+                    out.append(acc)
+                nxt.append(out)
+        level = nxt
+        values.append(np.array(level) @ final)
+    return np.concatenate(values)
 
 
 def cantor_base3(u) -> float:

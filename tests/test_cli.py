@@ -161,6 +161,21 @@ def test_lang_member_and_enum(capsys):
     assert out == "2\n02\n22\n"
 
 
+def test_lang_errors_exit_2(tmp_path, capsys):
+    # exit 1 of `lang member` means "not member", so a bad cut point must not end there
+    code, out, err = run(capsys, "lang", "member", CANTOR, "--cutpoint", "1.5", "--input", "0")
+    assert (code, out, err) == (2, "", "error: cut point must lie in [0, 1)\n")
+    code, out, err = run(capsys, "lang", "enum", CANTOR, "--cutpoint", "0.5", "--max-len", "-1")
+    assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
+    code, out, err = run(capsys, "lang", "shift", CANTOR, "--from", "0.5", "--to", "1.5",
+                         "-o", str(tmp_path / "shifted.json"))
+    assert (code, out, err) == (2, "", "error: cut points must lie in [0, 1)\n")
+    assert not (tmp_path / "shifted.json").exists()
+    code, out, err = run(capsys, "isolate", CANTOR, "--cutpoint", "0.5", "--delta", "0.1",
+                         "--max-len", "-1")
+    assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
+
+
 def test_lang_shift(tmp_path, capsys):
     out_path = str(tmp_path / "shifted.json")
     code, out, _ = run(capsys, "lang", "shift", CANTOR, "--from", "0.5", "--to", "0.25",

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import gen
+from oracles import generator_words_upto
 from probautomata import (
     LinearAutomaton,
     MarkovChain,
@@ -106,6 +107,16 @@ def test_tables_iterate_in_shortlex_order():
         (tuple(x for x, _ in w), tuple(y for _, y in w)) for w in words_upto(pairs, 3)
     ]
     assert list(reaction_table(g, 3).values) == expected
+
+
+@pytest.mark.parametrize("letters", range(5))
+def test_words_upto_matches_the_generator(letters):
+    alphabet = tuple("abcd"[:letters])
+    assert list(words_upto(alphabet, -1)) == []
+    for depth in range(6):
+        assert list(words_upto(alphabet, depth)) == list(generator_words_upto(alphabet, depth))
+        assert list(kernel.ShortlexTable(alphabet, depth, {})) == \
+            list(generator_words_upto(alphabet, depth))
 
 
 def test_reachability_matches_reference_closure():
