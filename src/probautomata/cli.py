@@ -7,10 +7,12 @@ output is printed with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import fields
 
 from . import io as pio
-from .dfa import Dfa, dfa_minimize, dfa_to_dot
+from .dfa import dfa_minimize, dfa_to_dot
 from .generalpa import GeneralPA, reaction, reduce as reduce_general, equivalent
 from .languages import (
     POSITIVE_WORD_STABLE,
@@ -55,57 +57,36 @@ def fmt_word(u) -> str:
     return " ".join(u)
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """An argument the command line itself rejects; `main` reports it like a library error."""
 
 
-def _load(path: str, tol: Tolerances | None):
+def _load(path: str, tol: Tolerances | None, *kinds):
+    """Load `path`, and check that it holds one of `kinds` when any are given."""
     try:
-        return pio.load(path, tol)
+        obj = pio.load(path, tol)
     except FileNotFoundError:
         raise CliError(f"{path}: no such file") from None
-    except pio.SchemaError as exc:
-        raise CliError(str(exc)) from None
+    except pio.SchemaError:
+        raise
     except ValueError as exc:
         raise CliError(f"{path}: {exc}") from None
-
-
-def _expect(obj, kinds, path: str):
-    names = {
-        GeneralPA: "general_pa",
-        MoorePA: "moore_pa",
-        LinearAutomaton: "linear_automaton",
-        MarkovChain: "markov_chain",
-        Dfa: "dfa",
-        StringFunctionTable: "string_function",
-        RandomSequence: "random_sequence",
-    }
-    if not isinstance(obj, kinds):
-        wanted = ", ".join(names[k] for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
-        raise CliError(f"{path}: expected kind {wanted}, got {names[type(obj)]}")
+    if kinds and not isinstance(obj, kinds):
+        wanted = ", ".join(pio.KIND_OF[k] for k in kinds)
+        raise CliError(f"{path}: expected kind {wanted}, got {pio.KIND_OF[type(obj)]}")
     return obj
-
-
-def _word(obj, text: str):
-    alphabet = obj.signals if isinstance(obj, MarkovChain) else obj.inputs
-    try:
-        return pio.parse_word(text, alphabet)
-    except pio.SchemaError as exc:
-        raise CliError(str(exc)) from None
 
 
 def cmd_validate(args) -> int:
     obj = _load(args.file, args.tol)
     detail = f" states={obj.n_states}" if hasattr(obj, "n_states") else ""
-    print(f"ok: kind={pio.to_document(obj)['kind']}{detail}")
+    print(f"ok: kind={pio.KIND_OF[type(obj)]}{detail}")
     return 0
 
 
 def cmd_react(args) -> int:
-    obj = _expect(_load(args.file, args.tol), (GeneralPA, MoorePA, LinearAutomaton), args.file)
-    u = _word(obj, args.input)
+    obj = _load(args.file, args.tol, GeneralPA, MoorePA, LinearAutomaton)
+    u = pio.parse_word(args.input, obj.inputs)
     if isinstance(obj, GeneralPA):
         if args.output is None:
             raise CliError("general_pa reactions need --output")
@@ -116,7 +97,7 @@ def cmd_react(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    obj = _expect(_load(args.file, args.tol), (GeneralPA, MoorePA), args.file)
+    obj = _load(args.file, args.tol, GeneralPA, MoorePA)
     reduced = (reduce_general if isinstance(obj, GeneralPA) else reduce_avg)(obj, args.tol)
     pio.save(reduced, args.output)
     print(f"states: {obj.n_states} -> {reduced.n_states}")
@@ -137,33 +118,22 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_lang_member(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
-    u = _word(a, args.input)
-    try:
-        hit = member(a, args.cutpoint, u)
-    except ValueError as exc:  # exit 1 means "not member"
-        raise CliError(str(exc)) from None
+    a = _load(args.file, args.tol, MoorePA)
+    hit = member(a, args.cutpoint, pio.parse_word(args.input, a.inputs))
     print("member" if hit else "not member")
     return 0 if hit else 1
 
 
 def cmd_lang_enum(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
-    try:
-        members = enumerate_members(a, args.cutpoint, args.max_len)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    for u in members:
+    a = _load(args.file, args.tol, MoorePA)
+    for u in enumerate_members(a, args.cutpoint, args.max_len):
         print(fmt_word(u))
     return 0
 
 
 def cmd_lang_shift(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
-    try:
-        shifted = shift_cutpoint(a, args.src_cut, args.dst_cut)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    a = _load(args.file, args.tol, MoorePA)
+    shifted = shift_cutpoint(a, args.src_cut, args.dst_cut)
     pio.save(shifted, args.output)
     print(f"cutpoint: {fmt(args.src_cut)} -> {fmt(args.dst_cut)}; states: "
           f"{a.n_states} -> {shifted.n_states}")
@@ -171,11 +141,8 @@ def cmd_lang_shift(args) -> int:
 
 
 def cmd_isolate(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
-    try:
-        report = isolation_scan(a, args.cutpoint, args.delta, args.max_len)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    a = _load(args.file, args.tol, MoorePA)
+    report = isolation_scan(a, args.cutpoint, args.delta, args.max_len)
     if report.refuted:
         print(f"refuted: u={fmt_word(report.witness)} f={fmt(report.witness_value)}")
         return 1
@@ -184,7 +151,7 @@ def cmd_isolate(args) -> int:
 
 
 def cmd_extract_dfa(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
+    a = _load(args.file, args.tol, MoorePA)
     raw = extract_dfa(a, args.cutpoint, args.delta, minimize=False)
     minimized = dfa_minimize(raw)
     bound = extraction_state_bound(a.n_states, args.delta)
@@ -198,7 +165,7 @@ def cmd_extract_dfa(args) -> int:
 
 
 def cmd_ergodic(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
+    a = _load(args.file, args.tol, MoorePA)
     ok, witness = ergodic_test(a, args.tol)
     if ok:
         print("ergodic")
@@ -208,7 +175,7 @@ def cmd_ergodic(args) -> int:
 
 
 def cmd_stable(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
+    a = _load(args.file, args.tol, MoorePA)
     report = stability_check(a, args.tol)
     if report.status == STABLE_ALL:
         print("stable (all letter matrices contract)")
@@ -221,10 +188,10 @@ def cmd_stable(args) -> int:
 
 
 def cmd_definite(args) -> int:
-    a = _expect(_load(args.file, args.tol), MoorePA, args.file)
+    a = _load(args.file, args.tol, MoorePA)
     try:
         rep = definite_rep(a, args.cutpoint, args.delta, tol=args.tol)
-    except (ValueError, AssertionError) as exc:  # suffix table over the limit; not suffix-determined
+    except AssertionError as exc:  # not suffix-determined at this delta
         raise CliError(str(exc)) from None
     if rep is None:
         print("not derivable (needs positive matrices or ergodicity)")
@@ -239,49 +206,43 @@ LA_UNARY = {"scale": "scale", "rev": "reverse", "iter": "iterate"}
 
 
 def cmd_la_op(args) -> int:
-    a = _expect(_load(args.a, args.tol), LinearAutomaton, args.a)
+    a = _load(args.a, args.tol, LinearAutomaton)
     if args.op in LA_BINARY:
         if args.b is None:
             raise CliError(f"la op {args.op} needs two operands")
-        b = _expect(_load(args.b, args.tol), LinearAutomaton, args.b)
+        b = _load(args.b, args.tol, LinearAutomaton)
         out = la_combine(LA_BINARY[args.op], a, b)
     else:
         if args.op == "scale" and args.scalar is None:
             raise CliError("la op scale needs --scalar")
-        try:
-            out = la_unary(LA_UNARY[args.op], a, a=args.scalar, tol=args.tol)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        out = la_unary(LA_UNARY[args.op], a, a=args.scalar, tol=args.tol)
     pio.save(out, args.output)
     print(f"dim: {out.dim}")
     return 0
 
 
 def cmd_la_realize(args) -> int:
-    table = _expect(_load(args.file, args.tol), StringFunctionTable, args.file)
-    try:
-        out = realize(table, tol=args.tol)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    table = _load(args.file, args.tol, StringFunctionTable)
+    out = realize(table, tol=args.tol)
     pio.save(out, args.output)
     print(f"dim: {out.dim}")
     return 0
 
 
 def cmd_la_rank(args) -> int:
-    table = _expect(_load(args.file, args.tol), StringFunctionTable, args.file)
+    table = _load(args.file, args.tol, StringFunctionTable)
     print(e_f_dimension(table, tol=args.tol))
     return 0
 
 
 def cmd_la_expr(args) -> int:
-    a = _expect(_load(args.file, args.tol), LinearAutomaton, args.file)
+    a = _load(args.file, args.tol, LinearAutomaton)
     print(to_sexpr(la_to_rational_expr(a)))
     return 0
 
 
 def cmd_la_embed_pa(args) -> int:
-    a = _expect(_load(args.file, args.tol), LinearAutomaton, args.file)
+    a = _load(args.file, args.tol, LinearAutomaton)
     pa, scale = la_to_pa_affine(a, args.tol)
     pio.save(pa, args.output)
     print(f"states: {pa.n_states} scale: {fmt(scale)} offset: {fmt(1.0 / (a.dim + 2))}")
@@ -289,7 +250,7 @@ def cmd_la_embed_pa(args) -> int:
 
 
 def cmd_la_lang_pa(args) -> int:
-    a = _expect(_load(args.file, args.tol), LinearAutomaton, args.file)
+    a = _load(args.file, args.tol, LinearAutomaton)
     pa, cut = la_language_pa(a, args.cutpoint, args.tol)
     pio.save(pa, args.output)
     print(f"states: {pa.n_states} cutpoint: {fmt(cut)}")
@@ -297,19 +258,14 @@ def cmd_la_lang_pa(args) -> int:
 
 
 def cmd_mc_eval(args) -> int:
-    chain = _expect(_load(args.file, args.tol), MarkovChain, args.file)
-    u = _word(chain, args.input)
-    print(fmt(mc_function(chain, u)))
+    chain = _load(args.file, args.tol, MarkovChain)
+    print(fmt(mc_function(chain, pio.parse_word(args.input, chain.signals))))
     return 0
 
 
 def cmd_rs_transform(args) -> int:
-    zeta = _expect(_load(args.seq, args.tol), RandomSequence, args.seq)
-    a = _expect(_load(args.pa, args.tol), GeneralPA, args.pa)
-    try:
-        image = transform(zeta, a)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    zeta = _load(args.seq, args.tol, RandomSequence)
+    image = transform(zeta, _load(args.pa, args.tol, GeneralPA))
     pio.save(image, args.output)
     print(f"depth: {image.depth}")
     return 0
@@ -446,20 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.tol = None
-    if args.tolerance is not None:
-        if args.tolerance <= 0:
-            print("tolerance must be positive", file=sys.stderr)
-            return 2
-        eps = args.tolerance
-        args.tol = Tolerances(zero=eps, sum=eps, nonneg=eps, rank=eps, lp=eps)
+    """Run one command; any `ValueError` it raises is one `error:` line and exit 2."""
+    args = build_parser().parse_args(argv)
+    eps = args.tolerance
     try:
+        if eps is not None and not 0 < eps < math.inf:  # NaN fails both comparisons
+            raise CliError("tolerance must be positive and finite")
+        args.tol = None if eps is None else Tolerances(**{f.name: eps for f in fields(Tolerances)})
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
 
 
 if __name__ == "__main__":

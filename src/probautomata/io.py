@@ -17,7 +17,6 @@ import numpy as np
 
 from .dfa import Dfa, Word
 from .generalpa import GeneralPA
-from .kernel import LetterAutomaton
 from .linauto import LinearAutomaton, StringFunctionTable
 from .moorepa import MoorePA
 from .sequences import MarkovChain, RandomSequence
@@ -25,15 +24,16 @@ from .tolerances import Tolerances
 
 SCHEMA_VERSION = 1
 
-KINDS = (
-    "general_pa",
-    "moore_pa",
-    "linear_automaton",
-    "markov_chain",
-    "dfa",
-    "string_function",
-    "random_sequence",
-)
+KIND_OF = {
+    GeneralPA: "general_pa",
+    MoorePA: "moore_pa",
+    LinearAutomaton: "linear_automaton",
+    MarkovChain: "markov_chain",
+    Dfa: "dfa",
+    StringFunctionTable: "string_function",
+    RandomSequence: "random_sequence",
+}
+KINDS = tuple(KIND_OF.values())
 
 
 class SchemaError(ValueError):
@@ -107,47 +107,44 @@ def _vector(value: Any, path: str) -> np.ndarray:
 
 
 def to_document(obj) -> dict:
-    if isinstance(obj, GeneralPA):
+    kind = next((KIND_OF[c] for c in type(obj).__mro__ if c in KIND_OF), None)
+    head = {"schema": SCHEMA_VERSION, "kind": kind}
+    if kind == "general_pa":
         return {
-            "schema": SCHEMA_VERSION,
-            "kind": "general_pa",
+            **head,
             "inputs": list(obj.inputs),
             "outputs": list(obj.outputs),
             "trans": {f"{x}|{y}": obj.matrix(x, y).tolist() for x in obj.inputs for y in obj.outputs},
             "initial": obj.initial.tolist(),
         }
-    if isinstance(obj, LetterAutomaton):
+    if kind in ("moore_pa", "linear_automaton"):
         return {
-            "schema": SCHEMA_VERSION,
-            "kind": "moore_pa" if isinstance(obj, MoorePA) else "linear_automaton",
+            **head,
             "inputs": list(obj.inputs),
             "trans": {x: obj.matrix(x).tolist() for x in obj.inputs},
             "initial": obj.initial.tolist(),
             "lambda": obj.lam.tolist(),
         }
-    if isinstance(obj, MarkovChain):
+    if kind == "markov_chain":
         return {
-            "schema": SCHEMA_VERSION,
-            "kind": "markov_chain",
+            **head,
             "signals": list(obj.signals),
             "matrix": obj.matrix.tolist(),
             "labels": list(obj.labels),
             "initial": obj.initial.tolist(),
         }
-    if isinstance(obj, Dfa):
+    if kind == "dfa":
         return {
-            "schema": SCHEMA_VERSION,
-            "kind": "dfa",
+            **head,
             "alphabet": list(obj.alphabet),
             "states": obj.n_states,
             "start": obj.start,
             "trans": {x: list(obj.trans[x]) for x in obj.alphabet},
             "accepting": sorted(obj.accepting),
         }
-    if isinstance(obj, (StringFunctionTable, RandomSequence)):
+    if kind in ("string_function", "random_sequence"):
         return {
-            "schema": SCHEMA_VERSION,
-            "kind": "random_sequence" if isinstance(obj, RandomSequence) else "string_function",
+            **head,
             "alphabet": list(obj.alphabet),
             "depth": obj.depth,
             "table": dict(zip(map(word_to_key, obj.values), obj.values.array.tolist())),

@@ -294,6 +294,8 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
         raise ValueError("identically zero function has no Hankel basis")
     ranks = range(len(block))  # the ranks of the tags of length <= max_tag
     row_basis = _greedy_tags(block, ranks, t)
+    if not row_basis:
+        raise ValueError("no Hankel row passed the rank test")
     col_basis = _greedy_tags(block.T, ranks, t)
     r = len(row_basis)
     if r != len(col_basis):

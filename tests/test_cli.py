@@ -176,6 +176,45 @@ def test_lang_errors_exit_2(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: depth must be >= 0\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("equiv", CANTOR, str(DATA / "slow_mixing.json")), "alphabet mismatch"),
+    (("la", "op", "sum", "{x}", "{ab}", "-o", "{out}"), "alphabet mismatch"),
+    (("la", "op", "prod", "{x}", "{ab}", "-o", "{out}"), "alphabet mismatch"),
+    (("la", "op", "conv", "{x}", "{ab}", "-o", "{out}"), "alphabet mismatch"),
+    (("react", RABIN, "--input", "x", "--output", "q"), "symbol 'q' not in the alphabet"),
+    (("extract-dfa", CANTOR, "--cutpoint", "0.5", "--delta", "0"), "delta must be positive"),
+], ids=["equiv-alphabets", "la-sum", "la-prod", "la-conv", "react-output", "extract-dfa-delta-0"])
+def test_rejected_library_inputs_exit_2(tmp_path, capsys, argv, message):
+    paths = {"{x}": tmp_path / "x.json", "{ab}": tmp_path / "ab.json",
+             "{out}": tmp_path / "out.json"}
+    for key, inputs in (("{x}", ("x",)), ("{ab}", ("a", "b"))):
+        one = LinearAutomaton(inputs, {s: np.eye(1) for s in inputs}, np.ones(1), np.ones(1))
+        pio.save(one, str(paths[key]))
+    code, out, err = run(capsys, *(str(paths.get(arg, arg)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf"])
+def test_tolerance_must_be_finite(capsys, eps):
+    code, out, err = run(capsys, f"--tolerance={eps}", "validate", CANTOR)
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance must be positive and finite\n"
+
+
+def test_validate_prints_the_kind_of_each_saved_object(tmp_path, capsys):
+    kinds = ["general_pa", "moore_pa", "linear_automaton", "markov_chain", "dfa",
+             "string_function", "random_sequence"]
+    for obj, kind in zip(sample_objects(), kinds):
+        path = tmp_path / f"{kind}.json"
+        pio.save(obj, str(path))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert out.split()[:2] == ["ok:", f"kind={kind}"]
+        assert json.loads(path.read_text())["kind"] == kind
+
+
 def test_lang_shift(tmp_path, capsys):
     out_path = str(tmp_path / "shifted.json")
     code, out, _ = run(capsys, "lang", "shift", CANTOR, "--from", "0.5", "--to", "0.25",

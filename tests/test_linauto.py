@@ -274,6 +274,15 @@ def test_hankel_basis_chi_symbol():
     assert abs(np.linalg.det(basis.core)) > 1e-9
 
 
+def test_hankel_basis_reports_a_block_whose_rows_all_fail_the_rank_test():
+    # scaled by 2^-30 every row norm is under the rank test's absolute floor, so the greedy
+    # selection keeps no row of this nonzero block
+    table = la_table(random_la(np.random.default_rng(0), 3, 2), 8).scale(2.0**-30)
+    assert np.abs(table.values.array).max() > 0
+    with pytest.raises(ValueError, match="no Hankel row passed the rank test"):
+        hankel_basis(table, rank_bound=8)
+
+
 def test_realize_geometric():
     l = realize(la_table(geometric(0.5), 6))
     assert l.dim == 1
