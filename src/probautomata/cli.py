@@ -11,9 +11,9 @@ import math
 import sys
 from dataclasses import fields
 
-from . import io as pio
+from . import io as pio, kernel
 from .dfa import dfa_minimize, dfa_to_dot
-from .generalpa import GeneralPA, reaction, reduce as reduce_general, equivalent
+from .generalpa import GeneralPA, reaction, reduce as reduce_general
 from .languages import (
     POSITIVE_WORD_STABLE,
     STABLE_ALL,
@@ -32,7 +32,6 @@ from .linauto import (
     StringFunctionTable,
     e_f_dimension,
     la_combine,
-    la_equivalent,
     la_language_pa,
     la_to_pa_affine,
     la_to_rational_expr,
@@ -40,9 +39,9 @@ from .linauto import (
     realize,
     to_sexpr,
 )
-from .moorepa import MoorePA, avg_equivalent, avg_reaction, reduce_avg
+from .moorepa import MoorePA, avg_reaction, reduce_avg
 from .sequences import MarkovChain, RandomSequence, mc_function, transform
-from .tolerances import Tolerances
+from .tolerances import Tolerances, resolve
 
 
 def fmt(x: float) -> str:
@@ -65,8 +64,6 @@ def _load(path: str, tol: Tolerances | None, *kinds):
     """Load `path`, and check that it holds one of `kinds` when any are given."""
     try:
         obj = pio.load(path, tol)
-    except FileNotFoundError:
-        raise CliError(f"{path}: no such file") from None
     except pio.SchemaError:
         raise
     except ValueError as exc:
@@ -75,6 +72,14 @@ def _load(path: str, tol: Tolerances | None, *kinds):
         wanted = ", ".join(pio.KIND_OF[k] for k in kinds)
         raise CliError(f"{path}: expected kind {wanted}, got {pio.KIND_OF[type(obj)]}")
     return obj
+
+
+def _word(text: str, option: str, alphabet):
+    """The word given as `option`; a symbol outside the alphabet is an error naming the option."""
+    try:
+        return pio.parse_word(text, alphabet)
+    except ValueError as exc:
+        raise CliError(f"{option}: {exc}") from None
 
 
 def cmd_validate(args) -> int:
@@ -86,11 +91,11 @@ def cmd_validate(args) -> int:
 
 def cmd_react(args) -> int:
     obj = _load(args.file, args.tol, GeneralPA, MoorePA, LinearAutomaton)
-    u = pio.parse_word(args.input, obj.inputs)
+    u = _word(args.input, "--input", obj.inputs)
     if isinstance(obj, GeneralPA):
         if args.output is None:
             raise CliError("general_pa reactions need --output")
-        print(fmt(reaction(obj, u, pio.parse_word(args.output, obj.outputs))))
+        print(fmt(reaction(obj, u, _word(args.output, "--output", obj.outputs))))
     else:
         print(fmt(avg_reaction(obj, u)))  # la_reaction is the same function
     return 0
@@ -109,17 +114,16 @@ def cmd_equiv(args) -> int:
     b = _load(args.b, args.tol)
     if type(a) is not type(b):
         raise CliError("cannot compare automata of different kinds")
-    decide = {GeneralPA: equivalent, MoorePA: avg_equivalent, LinearAutomaton: la_equivalent}
-    if type(a) not in decide:
+    if not isinstance(a, kernel.Automaton):
         raise CliError("equiv supports general_pa, moore_pa and linear_automaton")
-    same = decide[type(a)](a, b, args.tol)
+    same = kernel.equivalent(a, b, resolve(args.tol))  # what each kind's public test calls
     print("equivalent" if same else "not equivalent")
     return 0 if same else 1
 
 
 def cmd_lang_member(args) -> int:
     a = _load(args.file, args.tol, MoorePA)
-    hit = member(a, args.cutpoint, pio.parse_word(args.input, a.inputs))
+    hit = member(a, args.cutpoint, _word(args.input, "--input", a.inputs))
     print("member" if hit else "not member")
     return 0 if hit else 1
 
@@ -259,7 +263,7 @@ def cmd_la_lang_pa(args) -> int:
 
 def cmd_mc_eval(args) -> int:
     chain = _load(args.file, args.tol, MarkovChain)
-    print(fmt(mc_function(chain, pio.parse_word(args.input, chain.signals))))
+    print(fmt(mc_function(chain, _word(args.input, "--input", chain.signals))))
     return 0
 
 
@@ -278,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tolerance", type=float, default=None, metavar="EPS",
-        help="override every numeric tolerance with EPS",
+        help="override every numeric tolerance with EPS, 0 < EPS < 0.1",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -402,17 +406,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; any `ValueError` it raises is one `error:` line and exit 2."""
+    """Run one command; a `ValueError` or a file it cannot open is one `error:` line and exit 2."""
     args = build_parser().parse_args(argv)
     eps = args.tolerance
     try:
         if eps is not None and not 0 < eps < math.inf:  # NaN fails both comparisons
             raise CliError("tolerance must be positive and finite")
+        if eps is not None and eps >= 0.1:  # 10 eps >= 1: no relative difference refutes
+            raise CliError("tolerance must be below 0.1")
         args.tol = None if eps is None else Tolerances(**{f.name: eps for f in fields(Tolerances)})
         return args.func(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except OSError as exc:  # a missing file, a directory given as a file, a missing folder
+        message = f"{exc.filename}: {exc.strerror.lower()}"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

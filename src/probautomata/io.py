@@ -57,6 +57,7 @@ def parse_word(text: str, alphabet: tuple[str, ...]) -> Word:
 
     Single-character alphabets allow the compact form "201"; otherwise (or
     when the compact parse fails) symbols are space- or comma-separated.
+    A symbol outside the alphabet raises ValueError.
     """
     if text == "":
         return ()
@@ -68,7 +69,7 @@ def parse_word(text: str, alphabet: tuple[str, ...]) -> Word:
         parts = tuple(text) if all(len(s) == 1 for s in alphabet) else (text,)
     for p in parts:
         if p not in alphabet:
-            raise SchemaError("$.input", f"symbol {p!r} not in the alphabet {list(alphabet)}")
+            raise ValueError(f"symbol {p!r} not in the alphabet {list(alphabet)}")
     return parts
 
 

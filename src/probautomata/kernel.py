@@ -18,8 +18,9 @@ same algorithms on plain arrays.
 
 Every span is the generator `krylov`, which returns once the span fills
 the space; `span` collects it, and the equivalence test consumes it and
-stops at the first column on which the two initial rows provably differ
-(Tzeng's basis method, SIAM J. Comput. 1992, ending early).
+stops at the first column on which the two initial rows differ relative to
+the absolute product of the rows and the column (Tzeng's basis method,
+SIAM J. Comput. 1992, ending early).
 
 Every function on words (string-function tables, reactions, sequences) is
 one `ShortlexTable`, the `prefix_values` array in shortlex order; the table
@@ -160,33 +161,24 @@ def basis_matrix(a: Automaton, t: Tolerances):
 
 
 def distributions_equivalent(a: Automaton, xi1, xi2, t: Tolerances) -> bool:
-    """Initial rows xi1 and xi2 give the same function iff they agree on the basis.
+    """Initial rows xi1 and xi2 give the same function iff they agree on every Krylov column.
 
-    The basis is the columns of `basis_matrix`, built by `krylov`; with
-    d = xi1 - xi2, the rows agree when every entry of d . B is within
-    10 t.rank relative to the largest basis entry.  The span stops at the
-    first column c on which the rows already disagree by more than that at
-    B = ||final|| max(1, rho (1 + 4 n u))^n, an a-priori bound on every basis
-    entry (rho the largest row abs-sum of a letter, u the unit roundoff):
-    |d . c| less 4 n u |d| . |c|, twice the rounding bound of this dot
-    product and of the full test's, so the full test would refute too.
-    When B is not finite (an unvalidated or weighted input) every column
-    is built.
+    Tzeng's basis method on the states reachable from |xi1| + |xi2| through
+    nonzero entries (the others carry no weight, and their columns could
+    swamp the span).  With d = xi1 - xi2, each column c is a complete test:
+    the rows differ when |d . c| > 10 t.rank (|xi1| + |xi2|) . |c|, the
+    absolute product that bounds the rounding of both rows' dot products
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.5), so
+    an exact 2^k scaling of the rows or the final column changes no verdict.
     """
-    d = np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)
-    n, final = a.n_states, a._final
-    u = np.finfo(float).eps / 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho = np.abs(a._letters).sum(axis=2).max(initial=0.0)
-        bound = linalg.norm_abs(final) * np.maximum(1.0, rho * (1.0 + 4 * n * u)) ** n
-    refute = t.rank * max(1.0, bound) * 10.0 if np.isfinite(bound) else np.inf
-    columns, abs_d = [], np.abs(d)
-    for column, _ in krylov(linalg.Subspace(n, t), final, a._letters):
-        if abs(d @ column) - 4 * n * u * (abs_d @ np.abs(column)) > refute:
-            return False
-        columns.append(column)
-    basis = np.column_stack(columns) if columns else np.zeros((n, 1))
-    return bool(np.max(np.abs(d @ basis)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    d, size, letters, final = xi1 - xi2, np.abs(xi1) + np.abs(xi2), a._letters, a._final
+    idx = reachable_states(np.abs(letters), size, 0.0)
+    if idx.size < a.n_states:  # restricting copies the letters: only when a state drops
+        letters, d, final = restrict(letters, d, final, idx)
+        size = size[idx]
+    columns = krylov(linalg.Subspace(idx.size, t), final, letters) if idx.size else ()
+    return all(abs(d @ c) <= 10.0 * t.rank * (size @ np.abs(c)) for c, _ in columns)
 
 
 def disjoint_union(a1: Automaton, a2: Automaton) -> Automaton:
@@ -207,7 +199,7 @@ def equivalent(a1: Automaton, a2: Automaton, t: Tolerances) -> bool:
 
 def reachable_part(a: Automaton, t: Tolerances) -> Automaton:
     """Keep the states with initial mass or reachable through an entry > t.zero."""
-    idx = reachable_states(a._letters, a.initial, t)
+    idx = reachable_states(a._letters, a.initial, t.zero)
     return a._like(*restrict(a._letters, a.initial, a._final, idx))
 
 
@@ -261,7 +253,7 @@ def reduce_convex(a: Automaton, t: Tolerances) -> Automaton:
     while hit is not None:
         s, coeffs = hit
         letters, initial, final = fold(letters, initial, final, s, coeffs)
-        idx = reachable_states(letters, initial, t)
+        idx = reachable_states(letters, initial, t.zero)
         letters, initial, final = restrict(letters, initial, final, idx)
         basis = np.delete(basis, s, axis=0)[idx]
         hit = convex_state(basis, t, int(np.searchsorted(idx, s)))
@@ -403,10 +395,10 @@ def krylov(sub: linalg.Subspace, start, letters):
         last = new
 
 
-def reachable_states(letters, initial, t: Tolerances) -> np.ndarray:
-    """Indices of the states with initial mass or reachable through an entry > t.zero."""
-    step = (letters > t.zero).any(axis=0)
-    alive = initial > t.zero
+def reachable_states(letters, initial, floor: float) -> np.ndarray:
+    """Indices of the states with initial entry > floor or reachable through an entry > floor."""
+    step = (letters > floor).any(axis=0)
+    alive = initial > floor
     while True:
         grown = alive | step[alive].any(axis=0)
         if np.array_equal(grown, alive):

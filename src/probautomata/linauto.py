@@ -4,8 +4,8 @@ Evaluation, the block operation algebra (sum, product, convolution, scaling,
 reversal, iteration), the convolution ring on finite tables with inverse and
 iteration, Hankel-matrix minimal realization, reachability/distinguishability
 degrees, state elimination to rational expressions, and the two embeddings
-into probabilistic automata.  Tabulation, Krylov spans and the block sum
-run in `kernel`, with lam as the final column.
+into probabilistic automata.  Tabulation, Krylov spans, equivalence and
+the block sum run in `kernel`, with lam as the final column.
 """
 from __future__ import annotations
 
@@ -201,17 +201,8 @@ def la_chi_symbol(inputs, symbol: str) -> LinearAutomaton:
 
 def la_equivalent(l1: LinearAutomaton, l2: LinearAutomaton,
                   tol: Tolerances | None = None) -> bool:
-    """Equal reactions, via reach/observe bases of the difference automaton."""
-    t = resolve(tol)
-    diff = la_sum(l1, la_scale(-1.0, l2))
-    reach = kernel.span(diff.initial, diff._letters.transpose(0, 2, 1), t).basis
-    obs = kernel.span(diff.lam, diff._letters, t).basis
-    scale = max(1.0, linalg.norm_abs(diff.initial), linalg.norm_abs(diff.lam))
-    for r in reach:
-        for o in obs:
-            if abs(float(r @ o)) > t.rank * scale * 100.0:
-                return False
-    return True
+    """Equal reactions, decided on the disjoint union's Krylov columns."""
+    return kernel.equivalent(l1, l2, resolve(tol))
 
 
 def reach_degree(l: LinearAutomaton, tol: Tolerances | None = None) -> int:
@@ -271,8 +262,13 @@ class HankelBasis:
 
 
 def _greedy_tags(vectors: np.ndarray, tags, t: Tolerances) -> list:
-    """Tags of the rows that extend the span of the rows before them."""
+    """Tags of the rows that extend the span of the rows before them.
+
+    The rows are divided by their max-abs entry, which must not be 0, so the
+    test is relative to the block and the row holding that entry passes.
+    """
     span = linalg.Subspace(vectors.shape[1], t)
+    vectors = vectors / linalg.norm_abs(vectors)
     return [tag for tag, v in zip(tags, vectors) if span.try_add(v)]
 
 
@@ -290,12 +286,10 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
         raise ValueError("rank bound must be >= 1")
     max_tag = min(rank_bound - 1, max(0, (depth - 1) // 2))
     block = hankel_block(f, max_tag, max_tag)
-    if linalg.norm_abs(block) <= t.zero:
+    if not block.any():
         raise ValueError("identically zero function has no Hankel basis")
     ranks = range(len(block))  # the ranks of the tags of length <= max_tag
     row_basis = _greedy_tags(block, ranks, t)
-    if not row_basis:
-        raise ValueError("no Hankel row passed the rank test")
     col_basis = _greedy_tags(block.T, ranks, t)
     r = len(row_basis)
     if r != len(col_basis):
@@ -320,7 +314,7 @@ def e_f_dimension(f, depth: int | None = None, tol: Tolerances | None = None) ->
     f = _table(f)
     depth = f.depth if depth is None else min(depth, f.depth)
     block = hankel_block(f, depth // 2, depth - depth // 2)
-    if linalg.norm_abs(block) <= t.zero:
+    if not block.any():
         return 0
     return len(_greedy_tags(block, range(len(block)), t))
 
@@ -335,7 +329,7 @@ def realize(f, rank_bound: int | None = None, tol: Tolerances | None = None) -> 
     t = resolve(tol)
     f = _table(f)
     alphabet, depth = f.alphabet, f.depth
-    if linalg.norm_abs(f.values.array) <= t.zero:
+    if not f.values.array.any():
         return la_zero(alphabet)
     if rank_bound is None:
         rank_bound = max(1, (depth + 1) // 2)

@@ -19,7 +19,9 @@ class Tolerances:
     zero    -- magnitudes at or below this count as exactly 0
     sum     -- slack for affine constraints (row sums, total mass)
     nonneg  -- how far below 0 a probability may drift
-    rank    -- relative threshold for subspace membership / rank decisions
+    rank    -- relative threshold for rank and equality decisions: a residual
+               against its vector's length, and |(xi1 - xi2) . c| on a Krylov
+               column c against 10 rank (|xi1| + |xi2|) . |c|
     lp      -- feasibility and objective threshold for the simplex solver;
                10 lp relative to the rows is a convex certificate's scale
     """

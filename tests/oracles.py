@@ -183,11 +183,12 @@ def full_span(start, letters, t: Tolerances) -> kernel.Span:
 
 
 def full_basis_distributions_equivalent(a, xi1, xi2, t: Tolerances) -> bool:
-    """The equivalence test on the whole `full_span` basis of a's final column."""
-    columns = full_span(a._final, a._letters, t).columns
-    basis = np.column_stack(columns) if columns else np.zeros((a.n_states, 1))
-    diff = (np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)) @ basis
-    return bool(np.max(np.abs(diff)) <= t.rank * max(1.0, linalg.norm_abs(basis)) * 10.0)
+    """The per-column equivalence test on every column of the whole `full_span`
+    basis of a's final column, over all states."""
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    d, size = xi1 - xi2, np.abs(xi1) + np.abs(xi2)
+    return all(abs(d @ c) <= t.rank * 10.0 * (size @ np.abs(c))
+               for c in full_span(a._final, a._letters, t).columns)
 
 
 def full_basis_equivalent(a1, a2, t: Tolerances) -> bool:

@@ -143,7 +143,7 @@ def test_tolerance_must_be_positive(capsys):
 
 def test_tolerance_reaches_equiv_for_one_call_only(tmp_path, capsys):
     doc = json.loads(Path(CANTOR).read_text())
-    doc["lambda"][0] = 1e-7
+    doc["lambda"][1] = 1 + 1e-6  # a relative gap of 1e-6
     moved = str(tmp_path / "moved.json")
     Path(moved).write_text(json.dumps(doc))
     assert run(capsys, "equiv", CANTOR, moved)[:2] == (1, "not equivalent\n")
@@ -201,6 +201,37 @@ def test_tolerance_must_be_finite(capsys, eps):
     code, out, err = run(capsys, f"--tolerance={eps}", "validate", CANTOR)
     assert (code, out) == (2, "")
     assert err == "error: tolerance must be positive and finite\n"
+
+
+@pytest.mark.parametrize("eps", ["0.1", "0.5", "1e300"])
+def test_tolerance_must_be_below_a_tenth(tmp_path, capsys, eps):
+    # from 0.1 on, 10 eps >= 1 and no relative difference could refute an equivalence
+    doc = json.loads(Path(CANTOR).read_text())
+    doc["initial"] = [0.0, 1.0]
+    flipped = tmp_path / "flipped.json"
+    flipped.write_text(json.dumps(doc))
+    code, out, err = run(capsys, f"--tolerance={eps}", "equiv", CANTOR, str(flipped))
+    assert (code, out, err) == (2, "", "error: tolerance must be below 0.1\n")
+    assert run(capsys, "--tolerance=0.09", "equiv", CANTOR, str(flipped))[:2] == (
+        1, "not equivalent\n")
+
+
+def test_files_that_cannot_be_opened_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(DATA))
+    assert (code, out, err) == (2, "", f"error: {DATA}: is a directory\n")
+    target = tmp_path / "missing_dir" / "x.json"
+    code, out, err = run(capsys, "reduce", THREE, "-o", str(target))
+    assert (code, out, err) == (2, "", f"error: {target}: no such file or directory\n")
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run(capsys, "validate", missing)
+    assert (code, out, err) == (2, "", f"error: {missing}: no such file or directory\n")
+
+
+def test_a_word_outside_the_alphabet_names_its_option(capsys):
+    code, out, err = run(capsys, "react", RABIN, "--input", "x", "--output", "q")
+    assert (code, out, err) == (2, "", "error: --output: symbol 'q' not in the alphabet ['y', 'z']\n")
+    code, out, err = run(capsys, "react", RABIN, "--input", "q", "--output", "y")
+    assert (code, out, err) == (2, "", "error: --input: symbol 'q' not in the alphabet ['x']\n")
 
 
 def test_validate_prints_the_kind_of_each_saved_object(tmp_path, capsys):

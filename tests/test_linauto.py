@@ -274,13 +274,14 @@ def test_hankel_basis_chi_symbol():
     assert abs(np.linalg.det(basis.core)) > 1e-9
 
 
-def test_hankel_basis_reports_a_block_whose_rows_all_fail_the_rank_test():
-    # scaled by 2^-30 every row norm is under the rank test's absolute floor, so the greedy
-    # selection keeps no row of this nonzero block
-    table = la_table(random_la(np.random.default_rng(0), 3, 2), 8).scale(2.0**-30)
-    assert np.abs(table.values.array).max() > 0
-    with pytest.raises(ValueError, match="no Hankel row passed the rank test"):
-        hankel_basis(table, rank_bound=8)
+def test_hankel_rank_of_a_table_scaled_by_2_to_the_minus_30_is_unchanged():
+    # every row of this block is shorter than 1, where an absolute floor once lost them all;
+    # the rank test now divides the block by its max-abs entry first
+    table = la_table(random_la(np.random.default_rng(0), 3, 2), 8)
+    scaled = table.scale(2.0**-30)
+    assert e_f_dimension(scaled) == e_f_dimension(table) == 3
+    assert hankel_basis(scaled, rank_bound=8).rank == hankel_basis(table, rank_bound=8).rank
+    assert realize(scaled).dim == realize(table).dim == 3
 
 
 def test_realize_geometric():
@@ -492,8 +493,8 @@ def test_la_equivalent():
 
 @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6])
 def test_la_equivalent_is_scale_free(c):
-    # the observe span starts from lam / max|lam|, so a tiny output column
-    # still spans and c.l is told apart from 2c.l at every scale
+    # the Krylov span starts from lam / max|lam|, and each column c is tested against the
+    # absolute product (|xi1| + |xi2|) . |c|, so both sides of the test scale with c
     for seed in range(20):
         l = random_la(np.random.default_rng(seed), 4, 2)
         assert not la_equivalent(la_unary("scale", l, a=c), la_unary("scale", l, a=2.0 * c))
