@@ -219,12 +219,12 @@ def reachable_part(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
 
 def find_convex_state(a: GeneralPA, tol: Tolerances | None = None):
     """(state, coefficients over the remaining states) of a convex basis row, or None."""
-    return kernel.find_convex_state(a, basis_matrix, resolve(tol))
+    return kernel.find_convex_state(a, resolve(tol))
 
 
 def remove_convex_state(a: GeneralPA, s: int, coeffs, tol: Tolerances | None = None) -> GeneralPA:
     """Fold a certified convex-combination state into its mixture (ValueError if uncertified)."""
-    return kernel.remove_convex_state(a, s, coeffs, basis_matrix, resolve(tol))
+    return kernel.remove_convex_state(a, s, coeffs, resolve(tol))
 
 
 def reduce(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:

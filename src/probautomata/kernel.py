@@ -142,10 +142,6 @@ class LetterAutomaton(Automaton):
 
 
 # --- the algorithms on the interface ------------------------------------------------
-#
-# `basis_of` is the class's public basis-matrix function (a call of
-# `basis_matrix` below), passed to the convex-state search and removal so
-# that their bases go through it; equivalence runs `krylov` itself.
 
 def basis_matrix(a: Automaton, t: Tolerances):
     """Basis of the span of the raw columns L^u . final, with the class's word tags.
@@ -203,7 +199,7 @@ def reachable_part(a: Automaton, t: Tolerances) -> Automaton:
     return a._like(*restrict(a._letters, a.initial, a._final, idx))
 
 
-def find_convex_state(a: Automaton, basis_of, t: Tolerances):
+def find_convex_state(a: Automaton, t: Tolerances):
     """A state whose basis row is a convex combination of the others:
     (state, coefficients over the remaining states) or None.
 
@@ -211,17 +207,17 @@ def find_convex_state(a: Automaton, basis_of, t: Tolerances):
     """
     if a.n_states < 2:
         return None
-    return convex_state(basis_of(a, t)[0], t)
+    return convex_state(basis_matrix(a, t)[0], t)
 
 
-def remove_convex_state(a: Automaton, s: int, coeffs, basis_of, t: Tolerances) -> Automaton:
+def remove_convex_state(a: Automaton, s: int, coeffs, t: Tolerances) -> Automaton:
     """Fold state s into the mixture coeffs of the others, after checking it.
 
     The certificate must reproduce basis row s within 100 tol.lp relative to
     the basis; otherwise ValueError.
     """
     folded = fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
-    basis, _ = basis_of(a, t)
+    basis, _ = basis_matrix(a, t)
     residual = basis[s] - np.asarray(coeffs, dtype=float) @ np.delete(basis, s, axis=0)
     if linalg.norm_abs(residual) > t.lp * 100.0 * max(1.0, linalg.norm_abs(basis)):
         raise ValueError("certificate does not reproduce the basis row")
@@ -370,8 +366,12 @@ def krylov(sub: linalg.Subspace, start, letters):
     The independence test extends the unit basis vector accepted with each
     column and the start divided by its max-abs norm, not the raw columns:
     the rank test of `linalg.Subspace` is absolute for short vectors, and the
-    raw columns of a small-weight automaton shrink with the word length.  In
-    exact arithmetic both keep the same words; the yielded columns are raw.
+    raw columns of a small-weight automaton shrink with the word length.  For
+    the same reason each try m . unit is divided by the power of two nearest
+    the letters' largest row abs-sum on a log scale, which is exact: scaling
+    every letter by 2^k changes no try, and stochastic letters are tried as
+    they are.  In exact arithmetic all of these keep the same words; the
+    yielded columns are raw.
     """
     scale = linalg.norm_abs(start)
     if scale == 0.0:
@@ -379,15 +379,18 @@ def krylov(sub: linalg.Subspace, start, letters):
     sub.try_add(np.asarray(start, dtype=float) / scale)
     columns, tags = [np.array(start, dtype=float)], [()]
     yield columns[0], tags[0]
+    frac, e = np.frexp(np.abs(letters).sum(axis=-1).max(initial=0.0))  # frac in [1/2, 1)
+    shift = int(frac < 0.5 ** 0.5) - int(e)
+    tries = np.ldexp(letters, shift) if shift else letters  # exact: (2^s m) . u = 2^s (m . u)
     last = [0]
     while last and sub.dim < sub.ambient_dim:
         new = []
         for i in last:
             unit = sub.basis[i]
-            for k, m in enumerate(letters):
+            for k, m in enumerate(tries):
                 if sub.try_add(m @ unit):
                     new.append(len(columns))
-                    columns.append(m @ columns[i])
+                    columns.append(letters[k] @ columns[i])
                     tags.append((k,) + tags[i])
                     yield columns[-1], tags[-1]
                     if sub.dim == sub.ambient_dim:
@@ -407,8 +410,8 @@ def reachable_states(letters, initial, floor: float) -> np.ndarray:
 
 
 def restrict(letters, initial, final, idx):
-    """The automaton on the states idx."""
-    return letters[:, idx[:, None], idx], initial[idx], final[idx]
+    """The automaton on the states idx, its letter tensor in C order."""
+    return letters.take(idx, axis=1).take(idx, axis=2), initial[idx], final[idx]
 
 
 def convex_state(basis, t: Tolerances, below: int | None = None):
@@ -444,8 +447,8 @@ def fold(letters, initial, final, s: int, coeffs):
     if coeffs.shape != (n - 1,):
         raise ValueError("certificate has wrong length")
     others = np.delete(np.arange(n), s)
-    folded = letters[:, others[:, None], others] + letters[:, others, s][:, :, None] * coeffs
-    return folded, initial[others] + initial[s] * coeffs, final[others]
+    kept, rest, final = restrict(letters, initial, final, others)
+    return kept + letters[:, others, s, None] * coeffs, rest + initial[s] * coeffs, final
 
 
 def block_union(letters1, letters2) -> np.ndarray:

@@ -3,9 +3,13 @@
 Evaluation, the block operation algebra (sum, product, convolution, scaling,
 reversal, iteration), the convolution ring on finite tables with inverse and
 iteration, Hankel-matrix minimal realization, reachability/distinguishability
-degrees, state elimination to rational expressions, and the two embeddings
-into probabilistic automata.  Tabulation, Krylov spans, equivalence and
-the block sum run in `kernel`, with lam as the final column.
+degrees, state elimination to rational expressions, and the embeddings into
+probabilistic automata.  There is one embedding, the affine one; a cut
+language is embedded as the affine image of the automaton shifted by the
+cut, pinned at the empty word and normalised, all three by the algebra
+above (Turakainen, Proc. AMS 21, 1969), so its languages do not change when
+lam and the cut are scaled by 2^k.  Tabulation, Krylov spans, equivalence
+and the block sum run in `kernel`, with lam as the final column.
 """
 from __future__ import annotations
 
@@ -155,7 +159,7 @@ def la_combine(op: str, l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutom
 
 
 def la_scale(a: float, l: LinearAutomaton) -> LinearAutomaton:
-    return LinearAutomaton(l.inputs, dict(l.trans), l.initial, a * l.lam)
+    return l._like(l._letters, l.initial, a * l.lam)
 
 
 def la_reverse(l: LinearAutomaton) -> LinearAutomaton:
@@ -536,107 +540,75 @@ def la_to_rational_expr(l: LinearAutomaton) -> Expr:
 
 # --- embeddings into probabilistic automata --------------------------------------
 
-def _orthogonal_with_first_column(v: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthogonal matrix whose first column points along v.
+def _orthogonal_with_first_column(v: np.ndarray) -> np.ndarray:
+    """Orthogonal Q with Q e1 = v / |v| for a nonzero v: a signed Householder reflector.
 
-    Gram-Schmidt completion of the normalized column; keeping the basis
-    orthonormal keeps the conjugated matrices the same size as the
-    originals, which the embeddings need so the scale factor does not
-    collapse below float resolution.
+    With u = v / |v|, s the sign of u[0] (+1 at 0) and w = u + s e1, the
+    reflector H = I - 2 w w^T / (w . w) maps u to -s e1, so Q = -s H.  Adding
+    s to u[0] never cancels, so w . w = 2 (1 + |u[0]|) >= 2; v is divided by
+    its max-abs entry before its norm is taken, so no scale of v overflows or
+    underflows.
     """
-    n = v.size
-    span = linalg.Subspace(n, tol)
-    if not span.try_add(v):
-        raise ValueError("prescribed first column is zero")
-    cols = [np.asarray(v, dtype=float) / float(np.linalg.norm(v))]
-    for i in range(n):
-        if span.try_add(np.eye(n)[i]):
-            cols.append(span.basis[-1])
-    return np.column_stack(cols)
-
-
-def _affine_embed_core(l: LinearAutomaton, tol: Tolerances) -> tuple[MoorePA, float]:
-    """Positive-automaton embedding for an automaton whose lam is e1."""
-    n = l.dim
-    pad = n + 2
-    letters = l._letters
-    a1 = np.zeros((len(l.inputs), pad, pad))
-    a1[:, :n, :n] = letters
-    a1[:, :n, n] = -letters.sum(axis=2)          # zero row sums for the first n rows
-    a1[:, n + 1, :n] = -letters.sum(axis=1)      # zero column sums for the first n cols
-    a1[:, n + 1, n] = letters.sum(axis=(1, 2))
-    xi1 = np.concatenate([l.initial, [-l.initial.sum()], [0.0]])
-    max_entry = max(np.abs(a1).max(initial=0.0), linalg.norm_abs(xi1))
-    a = (1.0 / pad) / (1.0 + max_entry)
-    init = a * xi1 + np.full(pad, 1.0 / pad)
-    pa = MoorePA(l.inputs, dict(zip(l.inputs, a * a1 + 1.0 / pad)), init,
-                 linalg.point_distribution(pad, 0))
-    return pa.validate(tol), a
+    u = np.asarray(v, dtype=float) / linalg.norm_abs(v)
+    u /= np.linalg.norm(u)
+    s = 1.0 if u[0] >= 0.0 else -1.0
+    w = u.copy()
+    w[0] += s
+    return s * (np.outer(w, w) * (2.0 / (w @ w)) - np.eye(u.size))
 
 
 def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[MoorePA, float]:
     """Moore automaton A and scale a with f_A(u) = a^(|u|+1) f_L(u) + 1/(n+2).
 
-    The zero-output automaton maps to the identity-transition automaton whose
-    reaction is constantly 1/(n+2).
+    Conjugating by p = |lam| Q, where Q is orthogonal with first column
+    lam / |lam|, makes the output column e1 and keeps the letters their size
+    (condition number 1).  Each letter then gets a column n that zeroes its
+    row sums and a row n+1 that zeroes its column sums, and the initial row
+    an entry n that zeroes its sum; scaled by a and shifted by 1/(n+2), every
+    entry is positive and every row sums to 1.  The zero-output automaton
+    maps to the identity-transition automaton whose reaction is constantly
+    1/(n+2).
     """
     t = resolve(tol)
-    n = l.dim
+    n, pad = l.dim, l.dim + 2
+    start = linalg.point_distribution(pad, 0)
     if linalg.norm_abs(l.lam) <= t.zero:
-        pad = n + 2
-        start = linalg.point_distribution(pad, 0)
         trans = {x: np.eye(pad) for x in l.inputs}
         return MoorePA(l.inputs, trans, start, start / pad), 1.0 / pad
-    work = l
-    e1 = linalg.point_distribution(n, 0)
-    if linalg.norm_abs(l.lam - e1) > t.zero:
-        # p = |lam| . Q with Q orthogonal keeps p e1 = lam exactly while the
-        # conjugated matrices keep their scale (condition number 1)
-        scale = float(np.linalg.norm(l.lam))
-        q = _orthogonal_with_first_column(l.lam, t)
-        p = scale * q
-        p_inv = q.T / scale
-        work = l._like(p_inv @ l._letters @ p, l.initial @ p, e1)
-    return _affine_embed_core(work, t)
+    q = _orthogonal_with_first_column(l.lam)
+    letters, initial = q.T @ l._letters @ q, l.initial @ (np.linalg.norm(l.lam) * q)
+    a1 = np.zeros((len(l.inputs), pad, pad))
+    a1[:, :n, :n] = letters
+    a1[:, :n, n] = -letters.sum(axis=2)
+    a1[:, n + 1, :n] = -letters.sum(axis=1)
+    a1[:, n + 1, n] = letters.sum(axis=(1, 2))
+    xi1 = np.concatenate([initial, [-initial.sum()], [0.0]])
+    a = (1.0 / pad) / (1.0 + max(np.abs(a1).max(initial=0.0), linalg.norm_abs(xi1)))
+    pa = MoorePA(l.inputs, kernel.Slices(l.inputs, a * a1 + 1.0 / pad), a * xi1 + 1.0 / pad, start)
+    return pa.validate(t), a
 
 
 def la_language_pa(l: LinearAutomaton, a: float, tol: Tolerances | None = None) -> tuple[MoorePA, float]:
-    """Moore automaton with n+4 states whose cut language at 1/(n+4) is L_a.
+    """Moore automaton with n+4 states whose cut language at 1/(n+4) is L_a = {u : f_L(u) > a}.
 
-    Shifts the cut point to 0, pins the empty-word value to 1 or 0 depending
-    on whether eps belongs to the language, normalizes the output column and
-    applies the affine embedding.  Returns (automaton, cut point).
+    g = f_L - a is the sum with a one-state automaton.  A second one-state
+    automaton, silent after the empty word, pins g(eps) to +|lam| when eps is
+    in L_a and to -|lam| when it is not (lam the output column of g), so the
+    empty word is never on the cut.  Dividing by the norm of the new output
+    column keeps every sign and makes the automaton scale-free: lam and a
+    times 2^k give the same one.  The affine embedding, whose reaction is
+    c^(|u|+1) g(u) + 1/(n+4) for some c > 0, then puts exactly the words
+    with g > 0 above the cut.
     """
-    t = resolve(tol)
-    n = l.dim
-    cut = 1.0 / (n + 4)
-    corner = np.ones((len(l.inputs), 1, 1))
-    # f_Lp = f_L - a
-    lp = l._like(
-        kernel.block_union(l._letters, corner),
-        np.concatenate([l.initial, [1.0]]),
-        np.concatenate([l.lam, [-a]]),
-    )
-    m = lp.dim
-    f_eps = float(lp.initial @ lp.lam)
-    xi1 = np.concatenate([lp.initial, [1.0]])
-    if f_eps > 0.0:
-        lam1 = np.concatenate([lp.lam, [1.0 - f_eps]])
-    else:
-        lam1 = np.concatenate([lp.lam, [-f_eps]])
-        if linalg.norm_abs(lam1) <= t.zero:
-            # identically-zero shifted reaction: the language is empty
-            start = linalg.point_distribution(m + 3, 0)
-            trans = {x: np.eye(m + 3) for x in l.inputs}
-            return MoorePA(l.inputs, trans, start, cut * start), cut
-    # conjugating by an orthogonal completion rescales the reaction by
-    # 1/|lam1| (sign-preserving, so membership is untouched) and keeps the
-    # embedded matrices well conditioned
-    p = _orthogonal_with_first_column(lam1, t)
-    l1_letters = kernel.block_union(lp._letters, np.zeros_like(corner))
-    l2 = l._like(p.T @ l1_letters @ p, xi1 @ p, linalg.point_distribution(m + 1, 0))
-    pa, _ = _affine_embed_core(l2, t)
-    return pa, cut
+    def one_state(letter: float, out: float) -> LinearAutomaton:
+        return LinearAutomaton(l.inputs, {x: [[letter]] for x in l.inputs}, [1.0], [out])
+
+    g = la_sum(l, one_state(1.0, -a))
+    g_eps, size = float(g.initial @ g.lam), float(np.linalg.norm(g.lam))
+    g = la_sum(g, one_state(0.0, (size if g_eps > 0.0 else -size) - g_eps))
+    size = float(np.linalg.norm(g.lam))
+    pa, _ = la_to_pa_affine(la_scale(1.0 / size if size else 1.0, g), tol)
+    return pa, 1.0 / pa.n_states
 
 
 def laf_from_level_dfas(levels: list[tuple[float, Dfa]], check_depth: int = 4) -> LinearAutomaton:

@@ -74,12 +74,12 @@ def moore_reachable_part(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
 
 def find_convex_state_avg(a: MoorePA, tol: Tolerances | None = None):
     """Convex-combination state of the averaged basis matrix, highest index first."""
-    return kernel.find_convex_state(a, avg_basis_matrix, resolve(tol))
+    return kernel.find_convex_state(a, resolve(tol))
 
 
 def remove_convex_state_avg(a: MoorePA, s: int, coeffs, tol: Tolerances | None = None) -> MoorePA:
     """Fold a certified convex state into the mixture: B^x = (E 0) A^x (E ; xi)."""
-    return kernel.remove_convex_state(a, s, coeffs, avg_basis_matrix, resolve(tol))
+    return kernel.remove_convex_state(a, s, coeffs, resolve(tol))
 
 
 def reduce_avg(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:

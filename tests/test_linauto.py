@@ -450,6 +450,16 @@ def test_la_language_pa_extremes():
     assert not any(member(pa, cut, u) for u in enumerate_words(("x",), 4))
 
 
+def test_la_language_pa_of_the_zero_function():
+    # f_L - a is identically 0 at a = 0 (an output column with nothing to normalise)
+    l = la_zero(("x", "y"), 2)
+    pa, cut = la_language_pa(l, 0.0)
+    assert pa.n_states == 6 and cut == pytest.approx(1.0 / 6.0)
+    assert not any(member(pa, cut, u) for u in enumerate_words(l.inputs, 3))
+    pa, cut = la_language_pa(l, -1.0)
+    assert all(member(pa, cut, u) for u in enumerate_words(l.inputs, 3))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_la_language_pa_membership_random(seed):

@@ -1,15 +1,17 @@
-"""Verdicts and Hankel ranks do not change under exact 2^k scaling.
+"""Verdicts, Hankel ranks and cut languages do not change under exact 2^k scaling.
 
-Multiplying an initial row, an output column or a table by a power of two
-is exact in floating point (barring overflow and underflow), so a test whose
-thresholds are relative to what it compares must give the same answer at
-every k.  The instances are seeded `gen` automata: unequal pairs at a
-relative gap g, true equivalences built with a cancelling sum, realizations
-of their own tables, and a huge isolated state that no initial row reaches.
+Multiplying an initial row, an output column, the letters or a table by a
+power of two is exact in floating point (barring overflow and underflow), so
+a test whose thresholds are relative to what it compares must give the same
+answer at every k.  The instances are seeded `gen` automata: unequal pairs at
+a relative gap g or with one letter bumped, true equivalences built with a
+cancelling sum, realizations of their own tables, and a huge isolated state
+that no initial row reaches.  The embedding's reflector is checked down to
+1e-300 and up to 1e300.
 """
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gen
@@ -21,10 +23,20 @@ from probautomata import (
     e_f_dimension,
     equivalent,
     la_equivalent,
+    la_language_pa,
     la_table,
+    member,
     realize,
 )
-from probautomata.linauto import la_scale, la_sum
+from probautomata.dfa import words_upto
+from probautomata.linauto import (
+    _orthogonal_with_first_column,
+    disting_degree,
+    la_reaction,
+    la_scale,
+    la_sum,
+    reach_degree,
+)
 from probautomata.moorepa import avg_distributions_equivalent
 
 GAPS = (0.1, 0.01, 0.001)
@@ -127,3 +139,70 @@ def test_an_unreached_state_with_a_huge_loop_does_not_swamp_the_span(big):
     assert la_table(la(0.5), 2).value(("x", "x")) == 0.5
     assert not la_equivalent(la(1.0), la(0.5))
     assert la_equivalent(la(0.5), la(0.5))
+
+
+def _cut_away_from_values(l: LinearAutomaton, words) -> float:
+    """The midpoint of the widest gap between the values on the words (or above them all)."""
+    values = sorted(la_reaction(l, u) for u in words)
+    width, i = max((values[i + 1] - values[i], i) for i in range(len(values) - 1))
+    return (values[i] + values[i + 1]) / 2.0 if width > 1e-6 else values[-1] + 1.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(-40, 40))
+@example(1, -30)  # where an absolute floor once raised "prescribed first column is zero"
+@example(1, -40)  # where it once gave a wrong language
+def test_la_language_pa_is_invariant_under_output_and_cut_scaling(seed, k):
+    rng = np.random.default_rng(seed)
+    l = gen.random_la(rng, int(rng.integers(1, 5)), 2)
+    words = list(words_upto(l.inputs, 4))
+    a, c = _cut_away_from_values(l, words), 2.0**k
+    pa, cut = la_language_pa(l, a)
+    scaled, scaled_cut = la_language_pa(la_scale(c, l), c * a)
+    assert scaled_cut == cut == 1.0 / (l.dim + 4)
+    assert np.array_equal(scaled._letters, pa._letters)
+    assert np.array_equal(scaled.initial, pa.initial)
+    assert [member(scaled, cut, u) for u in words] == [la_reaction(l, u) > a for u in words]
+
+
+def _letters_scaled(l: LinearAutomaton, c: float) -> LinearAutomaton:
+    return l._like(c * l._letters, l.initial, l.lam)
+
+
+def _letter_verdicts(seed: int, c: float) -> list:
+    """la_equivalent and the degrees with every letter scaled by c."""
+    rng = np.random.default_rng(seed)
+    l = gen.random_la(rng, int(rng.integers(2, 6)), 2)
+    l2 = gen.random_la(rng, int(rng.integers(1, 4)), 2)
+    bumped = l._like(l._letters * np.array([1.1, 1.0])[:, None, None], l.initial, l.lam)
+    l, l2, bumped = (_letters_scaled(x, c) for x in (l, l2, bumped))
+    return [la_equivalent(l, bumped), la_equivalent(l, la_sum(l, la_sum(l2, la_scale(-1.0, l2)))),
+            la_equivalent(l, l), reach_degree(l), disting_degree(l)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(SEEDS, st.integers(-40, 20))
+@example(0, -30)  # where the absolute floor of the span once called every bumped pair equal
+@example(0, -40)
+def test_krylov_verdicts_are_invariant_under_letter_scaling(seed, k):
+    verdicts = _letter_verdicts(seed, 2.0**k)
+    assert verdicts == _letter_verdicts(seed, 1.0)
+    assert verdicts[:3] == [False, True, True]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=6),
+       st.sampled_from([1e-300, 1e-150, 2.0**-40, 1.0, 2.0**40, 1e150, 1e300]))
+@example([-0.5, 0.25, 0.0], 1.0)
+@example([-3e-200, 1e-200], 1.0)
+@example([1.0], 1.0)
+@example([-1.0], 1.0)
+@example([1.0, 0.0, 0.0, 0.0], 1e300)
+@example([-1.0, 0.0, 0.0, 0.0], 1e-300)
+def test_orthogonal_with_first_column_at_every_scale(entries, scale):
+    v = scale * np.array(entries)
+    assume(np.abs(v).max() > 0.0)
+    q = _orthogonal_with_first_column(v)
+    u = v / np.abs(v).max()
+    assert np.allclose(q.T @ q, np.eye(v.size), rtol=0.0, atol=1e-14)
+    assert np.allclose(q[:, 0], u / np.linalg.norm(u), rtol=0.0, atol=1e-14)
