@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 
 from . import io as pio, kernel
 from .dfa import dfa_minimize, dfa_to_dot
@@ -41,7 +40,7 @@ from .linauto import (
 )
 from .moorepa import MoorePA, avg_reaction, reduce_avg
 from .sequences import MarkovChain, RandomSequence, mc_function, transform
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances
 
 
 def fmt(x: float) -> str:
@@ -60,7 +59,7 @@ class CliError(ValueError):
     """An argument the command line itself rejects; `main` reports it like a library error."""
 
 
-def _load(path: str, tol: Tolerances | None, *kinds):
+def _load(path: str, tol: Tolerances, *kinds):
     """Load `path`, and check that it holds one of `kinds` when any are given."""
     try:
         obj = pio.load(path, tol)
@@ -116,7 +115,7 @@ def cmd_equiv(args) -> int:
         raise CliError("cannot compare automata of different kinds")
     if not isinstance(a, kernel.Automaton):
         raise CliError("equiv supports general_pa, moore_pa and linear_automaton")
-    same = kernel.equivalent(a, b, resolve(args.tol))  # what each kind's public test calls
+    same = kernel.equivalent(a, b, args.tol)  # what each kind's public test calls
     print("equivalent" if same else "not equivalent")
     return 0 if same else 1
 
@@ -414,7 +413,7 @@ def main(argv=None) -> int:
             raise CliError("tolerance must be positive and finite")
         if eps is not None and eps >= 0.1:  # 10 eps >= 1: no relative difference refutes
             raise CliError("tolerance must be below 0.1")
-        args.tol = None if eps is None else Tolerances(**{f.name: eps for f in fields(Tolerances)})
+        args.tol = DEFAULT if eps is None else Tolerances(zero=eps, rel=eps)
         return args.func(args)
     except ValueError as exc:
         message = str(exc)

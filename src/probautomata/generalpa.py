@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernel, linalg
 from .dfa import Word, words_of_length
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,16 +62,15 @@ class GeneralPA(kernel.Automaton):
         """Sum over outputs: the stochastic matrix of the input letter."""
         return sum(self.matrix(x, y) for y in self.outputs)
 
-    def validate(self, tol: Tolerances | None = None) -> "GeneralPA":
-        t = resolve(tol)
+    def validate(self, tol: Tolerances = DEFAULT) -> "GeneralPA":
         n = self.n_states
-        linalg.validate_distribution(self.initial, t, "initial distribution")
+        linalg.validate_distribution(self.initial, tol, "initial distribution")
         for x in self.inputs:
             for y in self.outputs:
-                if self.matrix(x, y).min() < -t.nonneg:
+                if self.matrix(x, y).min() < -tol.rel:
                     raise ValueError(f"negative entry in matrix for ({x!r},{y!r})")
             total = sum((self.matrix(x, y) for y in self.outputs), np.zeros((n, n)))
-            linalg.validate_stochastic(total, t, f"sum over outputs for input {x!r}")
+            linalg.validate_stochastic(total, tol, f"sum over outputs for input {x!r}")
         return self
 
 
@@ -127,34 +126,31 @@ def reaction_table(a: GeneralPA, depth: int, xi: np.ndarray | None = None) -> Re
                          kernel.prefix_values(row0, a._letters, a._final, depth))
 
 
-def is_probabilistic_response(f: ReactionTable, tol: Tolerances | None = None) -> bool:
+def is_probabilistic_response(f: ReactionTable, tol: Tolerances = DEFAULT) -> bool:
     """Check the defining recurrences of a probabilistic reaction on the table."""
-    t = resolve(tol)
-    if abs(f.value((), ()) - 1.0) > t.sum or np.any(f.values.array < -t.nonneg):
+    if abs(f.value((), ()) - 1.0) > tol.rel or np.any(f.values.array < -tol.rel):
         return False
     per_input = f.values.children().reshape(-1, len(f.inputs), len(f.outputs)).sum(axis=2)
-    slack = t.sum * max(1.0, len(f.outputs))
+    slack = tol.rel * max(1.0, len(f.outputs))
     return not np.any(np.abs(per_input - f.values.upto(f.depth - 1)[:, None]) > slack)
 
 
-def residual(f: ReactionTable, u: Word, v: Word, tol: Tolerances | None = None) -> ReactionTable:
+def residual(f: ReactionTable, u: Word, v: Word, tol: Tolerances = DEFAULT) -> ReactionTable:
     """Residual reaction f_{u,v}(u', v') = f(uu', vv') / f(u, v)."""
-    t = resolve(tol)
     mass = f.value(u, v)
-    if abs(mass) <= t.zero:
+    if abs(mass) <= tol.zero:
         raise ZeroDivisionError(f"residual at a zero-probability pair {(u, v)}")
     values = f.values.after(tuple(zip(u, v))) / mass
     return ReactionTable(f.inputs, f.outputs, f.depth - len(u), values)
 
 
-def tables_agree(f: ReactionTable, g: ReactionTable, tol: Tolerances | None = None) -> bool:
+def tables_agree(f: ReactionTable, g: ReactionTable, tol: Tolerances = DEFAULT) -> bool:
     """Compare two tables over one alphabet on their overlapping depth."""
-    t = resolve(tol)
     depth = min(f.depth, g.depth)
-    return not np.any(np.abs(f.values.upto(depth) - g.values.upto(depth)) > t.zero * 100.0)
+    return not np.any(np.abs(f.values.upto(depth) - g.values.upto(depth)) > tol.zero * 100.0)
 
 
-def residual_automaton(f: ReactionTable, tol: Tolerances | None = None) -> GeneralPA | None:
+def residual_automaton(f: ReactionTable, tol: Tolerances = DEFAULT) -> GeneralPA | None:
     """Rebuild an automaton from the residual reactions of f, if they close.
 
     Breadth-first search over residuals f_{u,v}; a new residual is matched
@@ -163,19 +159,18 @@ def residual_automaton(f: ReactionTable, tol: Tolerances | None = None) -> Gener
     evidence cannot certify closure), which genuinely happens: some
     realizable reactions have infinitely many residuals.
     """
-    t = resolve(tol)
     keys, states, queue, entries = f.values.alphabet, [f], [0], []
     while queue:
         i = queue.pop(0)
         g = states[i]
         for c, (x, y) in enumerate(keys):
             p = g.value((x,), (y,))
-            if p <= t.zero:
+            if p <= tol.zero:
                 continue
             if g.depth - 1 < 1:
                 return None  # child table too shallow to identify
-            child = residual(g, (x,), (y,), t)
-            j = next((m for m, h in enumerate(states) if tables_agree(child, h, t)), len(states))
+            child = residual(g, (x,), (y,), tol)
+            j = next((m for m, h in enumerate(states) if tables_agree(child, h, tol)), len(states))
             if j == len(states):
                 states.append(child)
                 queue.append(j)
@@ -189,48 +184,48 @@ def residual_automaton(f: ReactionTable, tol: Tolerances | None = None) -> Gener
 
 # --- basis matrices, equivalence and reduction: the kernel's, on pair letters --------
 
-def basis_matrix(a: GeneralPA, tol: Tolerances | None = None):
+def basis_matrix(a: GeneralPA, tol: Tolerances = DEFAULT):
     """Basis of the column space spanned by the raw vectors A[u,v].ones.
 
     Returns (matrix, tags): columns in breadth-first discovery order with
     lexicographic (input, output) symbol order, tags giving the (u, v) pair
     of each column.
     """
-    return kernel.basis_matrix(a, resolve(tol))
+    return kernel.basis_matrix(a, tol)
 
 
-def distributions_equivalent(a: GeneralPA, xi1, xi2, tol: Tolerances | None = None) -> bool:
+def distributions_equivalent(a: GeneralPA, xi1, xi2, tol: Tolerances = DEFAULT) -> bool:
     """xi1 and xi2 produce the same reaction iff they agree against the basis."""
-    return kernel.distributions_equivalent(a, xi1, xi2, resolve(tol))
+    return kernel.distributions_equivalent(a, xi1, xi2, tol)
 
 
 disjoint_union = kernel.disjoint_union
 
 
-def equivalent(a1: GeneralPA, a2: GeneralPA, tol: Tolerances | None = None) -> bool:
+def equivalent(a1: GeneralPA, a2: GeneralPA, tol: Tolerances = DEFAULT) -> bool:
     """Equality of reactions, decided on the disjoint union's basis matrix."""
-    return kernel.equivalent(a1, a2, resolve(tol))
+    return kernel.equivalent(a1, a2, tol)
 
 
-def reachable_part(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
+def reachable_part(a: GeneralPA, tol: Tolerances = DEFAULT) -> GeneralPA:
     """Restrict to states carrying initial mass or reachable through a nonzero entry."""
-    return kernel.reachable_part(a, resolve(tol))
+    return kernel.reachable_part(a, tol)
 
 
-def find_convex_state(a: GeneralPA, tol: Tolerances | None = None):
+def find_convex_state(a: GeneralPA, tol: Tolerances = DEFAULT):
     """(state, coefficients over the remaining states) of a convex basis row, or None."""
-    return kernel.find_convex_state(a, resolve(tol))
+    return kernel.find_convex_state(a, tol)
 
 
-def remove_convex_state(a: GeneralPA, s: int, coeffs, tol: Tolerances | None = None) -> GeneralPA:
+def remove_convex_state(a: GeneralPA, s: int, coeffs, tol: Tolerances = DEFAULT) -> GeneralPA:
     """Fold a certified convex-combination state into its mixture (ValueError if uncertified)."""
-    return kernel.remove_convex_state(a, s, coeffs, resolve(tol))
+    return kernel.remove_convex_state(a, s, coeffs, tol)
 
 
-def reduce(a: GeneralPA, tol: Tolerances | None = None) -> GeneralPA:
+def reduce(a: GeneralPA, tol: Tolerances = DEFAULT) -> GeneralPA:
     """Strip unreachable states and eliminate convex combinations in one pass
     (`kernel.reduce_convex`)."""
-    return kernel.reduce_convex(a, resolve(tol))
+    return kernel.reduce_convex(a, tol)
 
 
 # --- cones of reactions ---------------------------------------------------------
@@ -254,10 +249,9 @@ class ConeSpec:
         object.__setattr__(self, "initial", tuple(float(v) for v in self.initial))
         object.__setattr__(self, "shifts", kernel.freeze_map(self.shifts))
 
-    def validate(self, tol: Tolerances | None = None) -> "ConeSpec":
-        t = resolve(tol)
+    def validate(self, tol: Tolerances = DEFAULT) -> "ConeSpec":
         n = len(self.members)
-        linalg.validate_distribution(np.asarray(self.initial), t, "cone coefficients")
+        linalg.validate_distribution(np.asarray(self.initial), tol, "cone coefficients")
         inputs = self.members[0].inputs
         outputs = self.members[0].outputs
         for x in inputs:
@@ -266,15 +260,15 @@ class ConeSpec:
                 m = self.shifts.get((x, y))
                 if m is None or m.shape != (n, n):
                     raise ValueError(f"missing or misshapen shift matrix for ({x!r},{y!r})")
-                if m.min() < -t.nonneg:
+                if m.min() < -tol.rel:
                     raise ValueError(f"negative shift coefficient for ({x!r},{y!r})")
                 per_row = per_row + m.sum(axis=1)
-            if np.max(np.abs(per_row - 1.0)) > t.sum * max(1.0, len(outputs)):
+            if np.max(np.abs(per_row - 1.0)) > tol.rel * max(1.0, len(outputs)):
                 raise ValueError(f"shift rows for input {x!r} do not sum to 1")
         return self
 
 
-def pa_from_cone(cone: ConeSpec, tol: Tolerances | None = None) -> GeneralPA:
+def pa_from_cone(cone: ConeSpec, tol: Tolerances = DEFAULT) -> GeneralPA:
     """Automaton with one state per cone member and the shift matrices as behavior."""
     cone.validate(tol)
     inputs = cone.members[0].inputs

@@ -20,7 +20,7 @@ from .generalpa import GeneralPA
 from .linauto import LinearAutomaton, StringFunctionTable
 from .moorepa import MoorePA
 from .sequences import MarkovChain, RandomSequence
-from .tolerances import Tolerances
+from .tolerances import DEFAULT, Tolerances
 
 SCHEMA_VERSION = 1
 
@@ -153,7 +153,7 @@ def to_document(obj) -> dict:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def from_document(doc: Any, tol: Tolerances | None = None, path: str = "$"):
+def from_document(doc: Any, tol: Tolerances = DEFAULT, path: str = "$"):
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected a JSON object")
     version = _require(doc, "schema", path)
@@ -236,7 +236,7 @@ def from_document(doc: Any, tol: Tolerances | None = None, path: str = "$"):
         raise SchemaError(path, str(exc)) from None
 
 
-def load(filename: str, tol: Tolerances | None = None):
+def load(filename: str, tol: Tolerances = DEFAULT):
     with open(filename, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)

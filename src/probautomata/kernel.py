@@ -162,7 +162,7 @@ def distributions_equivalent(a: Automaton, xi1, xi2, t: Tolerances) -> bool:
     Tzeng's basis method on the states reachable from |xi1| + |xi2| through
     nonzero entries (the others carry no weight, and their columns could
     swamp the span).  With d = xi1 - xi2, each column c is a complete test:
-    the rows differ when |d . c| > 10 t.rank (|xi1| + |xi2|) . |c|, the
+    the rows differ when |d . c| > 10 t.rel (|xi1| + |xi2|) . |c|, the
     absolute product that bounds the rounding of both rows' dot products
     (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.5), so
     an exact 2^k scaling of the rows or the final column changes no verdict.
@@ -174,7 +174,7 @@ def distributions_equivalent(a: Automaton, xi1, xi2, t: Tolerances) -> bool:
         letters, d, final = restrict(letters, d, final, idx)
         size = size[idx]
     columns = krylov(linalg.Subspace(idx.size, t), final, letters) if idx.size else ()
-    return all(abs(d @ c) <= 10.0 * t.rank * (size @ np.abs(c)) for c, _ in columns)
+    return all(abs(d @ c) <= 10.0 * t.rel * (size @ np.abs(c)) for c, _ in columns)
 
 
 def disjoint_union(a1: Automaton, a2: Automaton) -> Automaton:
@@ -213,13 +213,13 @@ def find_convex_state(a: Automaton, t: Tolerances):
 def remove_convex_state(a: Automaton, s: int, coeffs, t: Tolerances) -> Automaton:
     """Fold state s into the mixture coeffs of the others, after checking it.
 
-    The certificate must reproduce basis row s within 100 tol.lp relative to
+    The certificate must reproduce basis row s within 100 tol.rel relative to
     the basis; otherwise ValueError.
     """
     folded = fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
     basis, _ = basis_matrix(a, t)
     residual = basis[s] - np.asarray(coeffs, dtype=float) @ np.delete(basis, s, axis=0)
-    if linalg.norm_abs(residual) > t.lp * 100.0 * max(1.0, linalg.norm_abs(basis)):
+    if linalg.norm_abs(residual) > t.rel * 100.0 * max(1.0, linalg.norm_abs(basis)):
         raise ValueError("certificate does not reproduce the basis row")
     return a._like(*folded)
 
@@ -239,8 +239,8 @@ def reduce_convex(a: Automaton, t: Tolerances) -> Automaton:
     point's O(n) bases and O(n^2) certificates.
 
     Each certificate is checked once, by `convex_combination_certificate`
-    against the rows held here: its residual bound, 10 tol.lp relative to
-    the basis, is stricter than the 100 tol.lp of `remove_convex_state`.
+    against the rows held here: its residual bound, 10 tol.rel relative to
+    the basis, is stricter than the 100 tol.rel of `remove_convex_state`.
     """
     a = reachable_part(a, t)
     letters, initial, final = a._letters, a.initial, a._final
@@ -421,13 +421,13 @@ def convex_state(basis, t: Tolerances, below: int | None = None):
     Prune, fit, check.  The affine test comes first: if row s is the mixture
     x of the others, e_s - x is a left null vector of [basis | 1], so e_s has
     squared weight >= 1/2 in that null space.  One thin SVD, at the
-    certificate's scale of 10 tol.lp relative to the basis, gives the weight
+    certificate's scale of 10 tol.rel relative to the basis, gives the weight
     1 - |U_r[s]|^2 of every row; only rows of weight over 1/4 ask
     `linalg.convex_combination_certificate`, which makes its own box test,
     nonnegative least-squares fit and residual check.
     """
     u, sv, _ = np.linalg.svd(np.column_stack([basis, np.ones(len(basis))]), full_matrices=False)
-    u = u[:, sv > t.lp * max(1.0, linalg.norm_abs(basis)) * 10.0]
+    u = u[:, sv > t.rel * max(1.0, linalg.norm_abs(basis)) * 10.0]
     for s in np.flatnonzero(1.0 - np.einsum("ij,ij->i", u, u)[:below] > 0.25)[::-1]:
         coeffs = linalg.convex_combination_certificate(basis, s, t)
         if coeffs is not None:

@@ -18,7 +18,7 @@ from . import kernel, linalg
 from .dfa import Dfa, Word, dfa_minimize, words_of_length, words_upto
 from .generalpa import GeneralPA
 from .moorepa import MoorePA, avg_reaction, avg_reaction_table
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances
 
 
 def member(a: MoorePA, cutpoint: float, u: Word) -> bool:
@@ -38,7 +38,7 @@ def enumerate_members(a: MoorePA, cutpoint: float, max_len: int) -> list[Word]:
 
 # --- cut-point constructions ---------------------------------------------------
 
-def fold_initial(a: MoorePA, cutpoint: float = 0.0) -> MoorePA:
+def fold_initial(a: MoorePA) -> MoorePA:
     """Equivalent automaton whose initial distribution is a point mass.
 
     One fresh state carries the old initial distribution in its outgoing
@@ -50,7 +50,7 @@ def fold_initial(a: MoorePA, cutpoint: float = 0.0) -> MoorePA:
     return a._like(letters, linalg.point_distribution(a.n_states + 1, 0), lam)
 
 
-def binarize_output(a: MoorePA, cutpoint: float = 0.0) -> MoorePA:
+def binarize_output(a: MoorePA) -> MoorePA:
     """Equivalent automaton with 0/1 output column (doubles the states).
 
     Requires the output column inside [0, 1].  State j splits into an
@@ -212,15 +212,14 @@ def extraction_state_bound(n_states: int, delta: float) -> float:
 
 # --- ergodicity and contraction ---------------------------------------------------
 
-def ergodic_test(a: MoorePA, tol: Tolerances | None = None) -> tuple[bool, str | None]:
+def ergodic_test(a: MoorePA, tol: Tolerances = DEFAULT) -> tuple[bool, str | None]:
     """Ergodicity criterion: every nonempty word matrix has a primitive pattern.
 
     Enumerates the finite monoid generated by the letter patterns under the
     boolean product, breadth-first; returns (False, witness word) on the
     first pattern that no boolean power makes all-ones.
     """
-    t = resolve(tol)
-    letter_patterns = [linalg.bool_pattern(m, t) for m in a._letters]
+    letter_patterns = [linalg.bool_pattern(m, tol) for m in a._letters]
     seen: dict[bytes, Word] = {}
     queue: deque[tuple[np.ndarray, Word]] = deque()
     for x, pat in zip(a.inputs, letter_patterns):
@@ -241,7 +240,7 @@ def ergodic_test(a: MoorePA, tol: Tolerances | None = None) -> tuple[bool, str |
     return True, None
 
 
-def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = None):
+def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances = DEFAULT):
     """Minimum letter-matrix entry c and the decay bound k -> (1-2c)^(k-1).
 
     The bound on the spread norm of word matrices is validated exhaustively
@@ -249,7 +248,6 @@ def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = N
     word matrices at a time; the error names the first violating word in
     shortlex order.
     """
-    t = resolve(tol)
     c = min(float(a.matrix(x).min()) for x in a.inputs)
     base = max(0.0, 1.0 - 2.0 * c)
 
@@ -260,7 +258,7 @@ def contraction_bound(a: MoorePA, check_len: int = 5, tol: Tolerances | None = N
         done = sum(len(a.inputs) ** j for j in range(k))  # the rank of the first word of length k
         for block in kernel.word_matrix_blocks(a._letters, k):
             spreads = _spreads(block)
-            bad = np.flatnonzero(spreads > bound(k) + t.zero)
+            bad = np.flatnonzero(spreads > bound(k) + tol.zero)
             if bad.size:
                 u = kernel.shortlex_word(a.inputs, done + int(bad[0]))
                 raise AssertionError(
@@ -298,7 +296,7 @@ class DefiniteRep:
 
 def definite_rep(a: MoorePA, cutpoint: float, delta: float,
                  table_limit: int = 1 << 16,
-                 tol: Tolerances | None = None) -> DefiniteRep | None:
+                 tol: Tolerances = DEFAULT) -> DefiniteRep | None:
     """Suffix-determined representation of the cut language, when derivable.
 
     Assumes the caller asserts delta-isolation.  With strictly positive
@@ -309,12 +307,11 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
     when neither hypothesis holds.  Suffix determination is re-validated
     level by level on all words with k <= |u| <= k+2.
     """
-    t = resolve(tol)
     n = a.n_states
     threshold = 2.0 * delta / (n * max(1.0, linalg.norm_abs(a.lam)))
     c = min(float(a.matrix(x).min()) for x in a.inputs)
     k = None
-    if c > t.zero:
+    if c > tol.zero:
         base = max(0.0, 1.0 - 2.0 * c)
         k = 1
         while (base ** (k - 1) if k > 1 else 1.0) >= threshold:
@@ -322,7 +319,7 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
             if k > 4096:
                 return None
     else:
-        ergodic, _ = ergodic_test(a, t)
+        ergodic, _ = ergodic_test(a, tol)
         if not ergodic:
             return None
         k = 1
@@ -367,7 +364,7 @@ class StabilityReport:
     word_length: int | None = None
 
 
-def stability_check(a: MoorePA, tol: Tolerances | None = None) -> StabilityReport:
+def stability_check(a: MoorePA, tol: Tolerances = DEFAULT) -> StabilityReport:
     """Sufficient stability conditions for isolated cut points.
 
     StableAll when every letter matrix contracts the spread norm strictly;
@@ -377,15 +374,14 @@ def stability_check(a: MoorePA, tol: Tolerances | None = None) -> StabilityRepor
     otherwise Unknown (the matching necessary condition is not implemented,
     only the sufficient directions are).
     """
-    t = resolve(tol)
     worst = max(linalg.norm_spread(a.matrix(x)) for x in a.inputs)
-    if worst < 1.0 - t.zero:
+    if worst < 1.0 - tol.zero:
         return StabilityReport(STABLE_ALL)
     n = a.n_states
     for length in range(1, n * n + 1):
         if len(a.inputs) ** length > 1 << 16:
             break
-        if all(float(block.min()) > t.zero
+        if all(float(block.min()) > tol.zero
                for block in kernel.word_matrix_blocks(a._letters, length)):
             return StabilityReport(POSITIVE_WORD_STABLE, length)
     return StabilityReport(UNKNOWN)

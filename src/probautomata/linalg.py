@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances
 
 
 def as_array(a) -> np.ndarray:
@@ -46,32 +46,30 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
-def is_distribution(v, tol: Tolerances | None = None) -> bool:
-    t = resolve(tol)
+def is_distribution(v, tol: Tolerances = DEFAULT) -> bool:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
         return False
-    return bool(arr.min() >= -t.nonneg and abs(arr.sum() - 1.0) <= t.sum)
+    return bool(arr.min() >= -tol.rel and abs(arr.sum() - 1.0) <= tol.rel)
 
 
-def validate_distribution(v, tol: Tolerances | None = None, what: str = "distribution") -> np.ndarray:
+def validate_distribution(v, tol: Tolerances = DEFAULT, what: str = "distribution") -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if not is_distribution(arr, tol):
         raise ValueError(f"{what} is not a probability distribution: {arr!r}")
     return arr
 
 
-def is_stochastic(m, tol: Tolerances | None = None) -> bool:
-    t = resolve(tol)
+def is_stochastic(m, tol: Tolerances = DEFAULT) -> bool:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.size == 0 or not np.all(np.isfinite(arr)):
         return False
-    if arr.min() < -t.nonneg:
+    if arr.min() < -tol.rel:
         return False
-    return bool(np.max(np.abs(arr.sum(axis=1) - 1.0)) <= t.sum)
+    return bool(np.max(np.abs(arr.sum(axis=1) - 1.0)) <= tol.rel)
 
 
-def validate_stochastic(m, tol: Tolerances | None = None, what: str = "matrix") -> np.ndarray:
+def validate_stochastic(m, tol: Tolerances = DEFAULT, what: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if not is_stochastic(arr, tol):
         raise ValueError(f"{what} is not row-stochastic: {arr!r}")
@@ -86,10 +84,9 @@ def point_distribution(n: int, i: int) -> np.ndarray:
 
 # --- boolean patterns -------------------------------------------------------
 
-def bool_pattern(a, tol: Tolerances | None = None) -> np.ndarray:
+def bool_pattern(a, tol: Tolerances = DEFAULT) -> np.ndarray:
     """0/1 pattern of a matrix: entries with |a_ij| > tol.zero become 1."""
-    t = resolve(tol)
-    return np.abs(np.asarray(a, dtype=float)) > t.zero
+    return np.abs(np.asarray(a, dtype=float)) > tol.zero
 
 
 def bool_mul(p, q) -> np.ndarray:
@@ -128,11 +125,11 @@ class Subspace:
     construction is inherently incremental).
     """
 
-    def __init__(self, ambient_dim: int, tol: Tolerances | None = None):
+    def __init__(self, ambient_dim: int, tol: Tolerances = DEFAULT):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         self.ambient_dim = ambient_dim
-        self.tol = resolve(tol)
+        self.tol = tol
         self._rows = np.empty((min(ambient_dim, 8), ambient_dim))
         self._dim = 0
 
@@ -163,7 +160,7 @@ class Subspace:
     def contains(self, v) -> bool:
         v = self._vector(v)
         r = self._residual(v)
-        return math.sqrt(r @ r) <= self.tol.rank * max(1.0, math.sqrt(v @ v))
+        return math.sqrt(r @ r) <= self.tol.rel * max(1.0, math.sqrt(v @ v))
 
     def try_add(self, v) -> bool:
         """Add v if it is independent of the current span; return True if it grew."""
@@ -172,7 +169,7 @@ class Subspace:
             return False
         r = self._residual(v)
         nrm = math.sqrt(r @ r)
-        if nrm <= self.tol.rank * max(1.0, math.sqrt(v @ v)):
+        if nrm <= self.tol.rel * max(1.0, math.sqrt(v @ v)):
             return False
         if self._dim == self._rows.shape[0]:
             grown = np.empty((min(2 * self._dim, self.ambient_dim), self.ambient_dim))
@@ -245,13 +242,12 @@ def _bland_pivot(tab: np.ndarray, basis: np.ndarray, n_cols: int, tol: float) ->
         basis[leaving] = col
 
 
-def lp_solve(problem: LpProblem, tol: Tolerances | None = None) -> LpSolution:
+def lp_solve(problem: LpProblem, tol: Tolerances = DEFAULT) -> LpSolution:
     """Dense two-phase simplex with Bland's anti-cycling rule.
 
-    The pivot tolerance tol.lp is absolute: on an ill-conditioned a_eq, x can
-    have only a few correct digits.
+    The pivots take tol.rel as an absolute threshold: on an ill-conditioned
+    a_eq, x can have only a few correct digits.
     """
-    t = resolve(tol)
     a = problem.a_eq.copy()
     b = problem.b_eq.copy()
     c = problem.c
@@ -268,14 +264,14 @@ def lp_solve(problem: LpProblem, tol: Tolerances | None = None) -> LpSolution:
     tab[-1, :n] = -a.sum(axis=0)
     tab[-1, -1] = -b.sum()
     basis = np.arange(n, n + m)
-    status = _bland_pivot(tab, basis, n + m, t.lp)
-    if status != OPTIMAL or -tab[-1, -1] > t.lp:
+    status = _bland_pivot(tab, basis, n + m, tol.rel)
+    if status != OPTIMAL or -tab[-1, -1] > tol.rel:
         return LpSolution(INFEASIBLE, None, None)
 
     # drive artificials out of the basis; drop redundant rows
     keep = np.ones(m, dtype=bool)
     for i in np.flatnonzero(basis >= n):
-        cols = np.flatnonzero(np.abs(tab[i, :n]) > t.lp)
+        cols = np.flatnonzero(np.abs(tab[i, :n]) > tol.rel)
         if cols.size == 0:
             keep[i] = False  # redundant constraint
             continue
@@ -290,7 +286,7 @@ def lp_solve(problem: LpProblem, tol: Tolerances | None = None) -> LpSolution:
     tab2[:-1, -1] = tab[:m][keep, -1]
     tab2[-1, :n] = c
     tab2[-1] -= c[basis] @ tab2[:-1]
-    status = _bland_pivot(tab2, basis, n, t.lp)
+    status = _bland_pivot(tab2, basis, n, tol.rel)
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
     x = np.zeros(n)
@@ -299,7 +295,7 @@ def lp_solve(problem: LpProblem, tol: Tolerances | None = None) -> LpSolution:
 
 
 def convex_combination_certificate(
-    rows: np.ndarray, s: int, tol: Tolerances | None = None
+    rows: np.ndarray, s: int, tol: Tolerances = DEFAULT
 ) -> np.ndarray | None:
     """Coefficients expressing rows[s] as a convex combination of the others.
 
@@ -313,10 +309,9 @@ def convex_combination_certificate(
     (one of many when another removable row is among the others), and
     otherwise only its negative coefficients are walked back.  The
     coefficients are accepted iff they sum to 1 and reproduce rows[s] to
-    10 tol.lp relative to the rows; the returned vector is indexed over the
+    10 tol.rel relative to the rows; the returned vector is indexed over the
     rows with s removed.
     """
-    t = resolve(tol)
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n = rows.shape[0]
     if n < 2:
@@ -324,13 +319,13 @@ def convex_combination_certificate(
     w = np.delete(rows, s, axis=0)
     target = rows[s]
     magnitude = norm_abs(rows) or 1.0
-    scale = t.lp * max(1.0, magnitude) * 10.0
+    scale = tol.rel * max(1.0, magnitude) * 10.0
     if np.any(target < w.min(axis=0) - scale) or np.any(target > w.max(axis=0) + scale):
         return None
     a = np.vstack([w.T, np.full(n - 1, magnitude)])
     b = np.append(target, magnitude)
     coeffs = _nnls(a, b)
-    if abs(coeffs.sum() - 1.0) > max(t.lp * 10.0, t.sum):
+    if abs(coeffs.sum() - 1.0) > tol.rel * 10.0:
         return None
     return coeffs if norm_abs(target - coeffs @ w) <= scale else None
 

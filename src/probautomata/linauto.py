@@ -20,7 +20,7 @@ import numpy as np
 from . import kernel, linalg
 from .dfa import Dfa, Word, words_upto
 from .moorepa import MoorePA, avg_reaction, dfa_to_pa
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +87,14 @@ class StringFunctionTable(kernel.WordTable):
                   for n in range(depth + 1)]
         return StringFunctionTable(self.alphabet, depth, np.concatenate(levels))
 
-    def inverse(self, tol: Tolerances | None = None) -> "StringFunctionTable":
+    def inverse(self, tol: Tolerances = DEFAULT) -> "StringFunctionTable":
         """Convolution inverse, defined when f(eps) != 0.
 
         Solves the triangular system g(eps) = 1/f(eps),
         g(u) = -(1/f(eps)) * sum over proper prefixes of f(u1) g(u2).
         """
         head = self.value(())
-        if abs(head) <= resolve(tol).zero:
+        if abs(head) <= tol.zero:
             raise ZeroDivisionError("function has no convolution inverse: f(eps) = 0")
         f, levels = self.values, [np.array([1.0 / head])]
         for n in range(1, self.depth + 1):
@@ -102,13 +102,12 @@ class StringFunctionTable(kernel.WordTable):
             levels.append(-acc / head)
         return StringFunctionTable(self.alphabet, self.depth, np.concatenate(levels))
 
-    def iterate(self, tol: Tolerances | None = None) -> "StringFunctionTable":
+    def iterate(self, tol: Tolerances = DEFAULT) -> "StringFunctionTable":
         """Kleene-plus in the convolution ring: (chi_eps - f)^-1 - chi_eps."""
-        t = resolve(tol)
-        if abs(self.value(()) - 1.0) <= t.zero:
+        if abs(self.value(()) - 1.0) <= tol.zero:
             raise ZeroDivisionError("iteration undefined: f(eps) = 1")
         chi = chi_eps(self.alphabet, self.depth)
-        return chi.sub(self).inverse(t).sub(chi)
+        return chi.sub(self).inverse(tol).sub(chi)
 
 
 def chi_eps(alphabet, depth: int) -> StringFunctionTable:
@@ -166,17 +165,16 @@ def la_reverse(l: LinearAutomaton) -> LinearAutomaton:
     return l._like(l._letters.transpose(0, 2, 1), l.lam, l.initial)
 
 
-def la_iterate(l: LinearAutomaton, tol: Tolerances | None = None) -> LinearAutomaton:
+def la_iterate(l: LinearAutomaton, tol: Tolerances = DEFAULT) -> LinearAutomaton:
     """Kleene-plus of the reaction; defined when f_L(eps) = 0."""
-    t = resolve(tol)
-    if abs(float(l.initial @ l.lam)) > t.zero:
+    if abs(float(l.initial @ l.lam)) > tol.zero:
         raise ValueError("iteration requires f_L(eps) = 0")
     bump = np.eye(l.dim) + np.outer(l.lam, l.initial)
     return l._like(l._letters @ bump, l.initial, l.lam)
 
 
 def la_unary(op: str, l: LinearAutomaton, a: float | None = None,
-             tol: Tolerances | None = None) -> LinearAutomaton:
+             tol: Tolerances = DEFAULT) -> LinearAutomaton:
     if op == "scale":
         if a is None:
             raise ValueError("scale needs a coefficient")
@@ -204,19 +202,19 @@ def la_chi_symbol(inputs, symbol: str) -> LinearAutomaton:
 
 
 def la_equivalent(l1: LinearAutomaton, l2: LinearAutomaton,
-                  tol: Tolerances | None = None) -> bool:
+                  tol: Tolerances = DEFAULT) -> bool:
     """Equal reactions, decided on the disjoint union's Krylov columns."""
-    return kernel.equivalent(l1, l2, resolve(tol))
+    return kernel.equivalent(l1, l2, tol)
 
 
-def reach_degree(l: LinearAutomaton, tol: Tolerances | None = None) -> int:
+def reach_degree(l: LinearAutomaton, tol: Tolerances = DEFAULT) -> int:
     """Smallest k at which the span of the rows xi . L^u, |u| <= k, stabilizes."""
-    return kernel.span(l.initial, l._letters.transpose(0, 2, 1), resolve(tol)).levels
+    return kernel.span(l.initial, l._letters.transpose(0, 2, 1), tol).levels
 
 
-def disting_degree(l: LinearAutomaton, tol: Tolerances | None = None) -> int:
+def disting_degree(l: LinearAutomaton, tol: Tolerances = DEFAULT) -> int:
     """Smallest k at which the span of the columns L^u . lam stabilizes."""
-    return kernel.span(l.lam, l._letters, resolve(tol)).levels
+    return kernel.span(l.lam, l._letters, tol).levels
 
 
 # --- Hankel matrices and minimal realization ------------------------------------
@@ -276,14 +274,13 @@ def _greedy_tags(vectors: np.ndarray, tags, t: Tolerances) -> list:
     return [tag for tag, v in zip(tags, vectors) if span.try_add(v)]
 
 
-def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBasis:
+def hankel_basis(f, rank_bound: int, tol: Tolerances = DEFAULT) -> HankelBasis:
     """Row/column basis of the Hankel block with tags of length <= rank - 1.
 
     Greedy pivoted selection in shortlex order; the empty word is always the
     first tag of both sides.  Raises if the observed rank exceeds the bound
     or the table is too shallow to certify the basis.
     """
-    t = resolve(tol)
     f = _table(f)
     table, depth = f.values, f.depth
     if rank_bound < 1:
@@ -293,8 +290,8 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
     if not block.any():
         raise ValueError("identically zero function has no Hankel basis")
     ranks = range(len(block))  # the ranks of the tags of length <= max_tag
-    row_basis = _greedy_tags(block, ranks, t)
-    col_basis = _greedy_tags(block.T, ranks, t)
+    row_basis = _greedy_tags(block, ranks, tol)
+    col_basis = _greedy_tags(block.T, ranks, tol)
     r = len(row_basis)
     if r != len(col_basis):
         raise ValueError("row and column ranks disagree at this depth")
@@ -303,7 +300,7 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
     if 2 * (r - 1) + 1 > depth:
         raise ValueError("table too shallow for the per-letter shift matrices")
     core = block[np.ix_(row_basis, col_basis)]
-    if np.linalg.cond(core) >= 1.0 / t.rank:
+    if np.linalg.cond(core) >= 1.0 / tol.rel:
         raise ValueError("selected core is numerically singular")
     rows, cols = np.array(row_basis)[:, None], np.array(col_basis)
     letters = {x: table.array[table.concat(table.concat(rows, table.rank((x,))), cols)]
@@ -312,32 +309,30 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances | None = None) -> HankelBas
                        core, letters, f.alphabet)
 
 
-def e_f_dimension(f, depth: int | None = None, tol: Tolerances | None = None) -> int:
+def e_f_dimension(f, depth: int | None = None, tol: Tolerances = DEFAULT) -> int:
     """Rank of the Hankel block: the minimal realizing dimension (0 for zero f)."""
-    t = resolve(tol)
     f = _table(f)
     depth = f.depth if depth is None else min(depth, f.depth)
     block = hankel_block(f, depth // 2, depth - depth // 2)
     if not block.any():
         return 0
-    return len(_greedy_tags(block, range(len(block)), t))
+    return len(_greedy_tags(block, range(len(block)), tol))
 
 
-def realize(f, rank_bound: int | None = None, tol: Tolerances | None = None) -> LinearAutomaton:
+def realize(f, rank_bound: int | None = None, tol: Tolerances = DEFAULT) -> LinearAutomaton:
     """Minimal linear automaton reproducing the table.
 
     Built from a Hankel basis as (e1, {shift(x) . core^-1}, first core
     column); the identically-zero table realizes as the 1-dimensional zero
     automaton by convention.
     """
-    t = resolve(tol)
     f = _table(f)
     alphabet, depth = f.alphabet, f.depth
     if not f.values.array.any():
         return la_zero(alphabet)
     if rank_bound is None:
         rank_bound = max(1, (depth + 1) // 2)
-    basis = hankel_basis(f, rank_bound, t)
+    basis = hankel_basis(f, rank_bound, tol)
     core_inv = np.linalg.inv(basis.core)
     trans = {x: basis.letters[x] @ core_inv for x in alphabet}
     init = linalg.point_distribution(basis.rank, 0)
@@ -442,10 +437,9 @@ def ex_closure(e: Expr) -> Expr:
     return ex_sum(ChiEps(), Iter(e))
 
 
-def eval_expr(e: Expr, alphabet, depth: int, tol: Tolerances | None = None,
+def eval_expr(e: Expr, alphabet, depth: int, tol: Tolerances = DEFAULT,
               _memo: dict | None = None) -> StringFunctionTable:
     """Interpret an expression over the table ring."""
-    t = resolve(tol)
     alphabet = tuple(alphabet)
     memo = {} if _memo is None else _memo
     hit = memo.get(e)
@@ -456,20 +450,20 @@ def eval_expr(e: Expr, alphabet, depth: int, tol: Tolerances | None = None,
     elif isinstance(e, ChiSym):
         out = chi_word(alphabet, (e.symbol,), depth)
     elif isinstance(e, Scale):
-        out = eval_expr(e.body, alphabet, depth, t, memo).scale(e.coeff)
+        out = eval_expr(e.body, alphabet, depth, tol, memo).scale(e.coeff)
     elif isinstance(e, Sum):
         out = chi_eps(alphabet, depth).scale(0.0)
         for term in e.terms:
-            out = out.add(eval_expr(term, alphabet, depth, t, memo))
+            out = out.add(eval_expr(term, alphabet, depth, tol, memo))
     elif isinstance(e, Conv):
         out = chi_eps(alphabet, depth)
         for factor in e.factors:
-            out = out.convolve(eval_expr(factor, alphabet, depth, t, memo))
+            out = out.convolve(eval_expr(factor, alphabet, depth, tol, memo))
     elif isinstance(e, Iter):
-        body = eval_expr(e.body, alphabet, depth, t, memo)
-        if abs(body.value(())) > t.zero:
+        body = eval_expr(e.body, alphabet, depth, tol, memo)
+        if abs(body.value(())) > tol.zero:
             raise ValueError("iteration applied to an expression with f(eps) != 0")
-        out = body.iterate(t)
+        out = body.iterate(tol)
     else:
         raise TypeError(f"unknown expression node {e!r}")
     memo[e] = out
@@ -557,7 +551,7 @@ def _orthogonal_with_first_column(v: np.ndarray) -> np.ndarray:
     return s * (np.outer(w, w) * (2.0 / (w @ w)) - np.eye(u.size))
 
 
-def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[MoorePA, float]:
+def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances = DEFAULT) -> tuple[MoorePA, float]:
     """Moore automaton A and scale a with f_A(u) = a^(|u|+1) f_L(u) + 1/(n+2).
 
     Conjugating by p = |lam| Q, where Q is orthogonal with first column
@@ -569,10 +563,9 @@ def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[
     maps to the identity-transition automaton whose reaction is constantly
     1/(n+2).
     """
-    t = resolve(tol)
     n, pad = l.dim, l.dim + 2
     start = linalg.point_distribution(pad, 0)
-    if linalg.norm_abs(l.lam) <= t.zero:
+    if not l.lam.any():
         trans = {x: np.eye(pad) for x in l.inputs}
         return MoorePA(l.inputs, trans, start, start / pad), 1.0 / pad
     q = _orthogonal_with_first_column(l.lam)
@@ -585,10 +578,10 @@ def la_to_pa_affine(l: LinearAutomaton, tol: Tolerances | None = None) -> tuple[
     xi1 = np.concatenate([initial, [-initial.sum()], [0.0]])
     a = (1.0 / pad) / (1.0 + max(np.abs(a1).max(initial=0.0), linalg.norm_abs(xi1)))
     pa = MoorePA(l.inputs, kernel.Slices(l.inputs, a * a1 + 1.0 / pad), a * xi1 + 1.0 / pad, start)
-    return pa.validate(t), a
+    return pa.validate(tol), a
 
 
-def la_language_pa(l: LinearAutomaton, a: float, tol: Tolerances | None = None) -> tuple[MoorePA, float]:
+def la_language_pa(l: LinearAutomaton, a: float, tol: Tolerances = DEFAULT) -> tuple[MoorePA, float]:
     """Moore automaton with n+4 states whose cut language at 1/(n+4) is L_a = {u : f_L(u) > a}.
 
     g = f_L - a is the sum with a one-state automaton.  A second one-state

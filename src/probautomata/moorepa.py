@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel, linalg
 from .dfa import Dfa, Word, dfa_reachable_part, words_upto
 from .generalpa import GeneralPA
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,14 +26,13 @@ class MoorePA(kernel.LetterAutomaton):
     a numeric output column lam (the final column).
     """
 
-    def validate(self, tol: Tolerances | None = None) -> "MoorePA":
-        t = resolve(tol)
+    def validate(self, tol: Tolerances = DEFAULT) -> "MoorePA":
         n = self.n_states
-        linalg.validate_distribution(self.initial, t, "initial distribution")
+        linalg.validate_distribution(self.initial, tol, "initial distribution")
         if self.lam.shape != (n,) or not np.all(np.isfinite(self.lam)):
             raise ValueError("output column has wrong shape or non-finite entries")
         for x in self.inputs:
-            linalg.validate_stochastic(self.matrix(x), t, f"matrix for input {x!r}")
+            linalg.validate_stochastic(self.matrix(x), tol, f"matrix for input {x!r}")
         return self
 
 
@@ -51,41 +50,41 @@ def avg_reaction_table(a: MoorePA, depth: int) -> kernel.ShortlexTable:
 
 # --- basis matrices, equivalence and reduction: the kernel's, on input letters ------
 
-def avg_basis_matrix(a: MoorePA, tol: Tolerances | None = None):
+def avg_basis_matrix(a: MoorePA, tol: Tolerances = DEFAULT):
     """Basis of the span of the raw columns A^u . lam, with word tags."""
-    return kernel.basis_matrix(a, resolve(tol))
+    return kernel.basis_matrix(a, tol)
 
 
-def avg_distributions_equivalent(a: MoorePA, xi1, xi2, tol: Tolerances | None = None) -> bool:
-    return kernel.distributions_equivalent(a, xi1, xi2, resolve(tol))
+def avg_distributions_equivalent(a: MoorePA, xi1, xi2, tol: Tolerances = DEFAULT) -> bool:
+    return kernel.distributions_equivalent(a, xi1, xi2, tol)
 
 
 moore_disjoint_union = kernel.disjoint_union
 
 
-def avg_equivalent(a1: MoorePA, a2: MoorePA, tol: Tolerances | None = None) -> bool:
+def avg_equivalent(a1: MoorePA, a2: MoorePA, tol: Tolerances = DEFAULT) -> bool:
     """Equal averaged reactions, decided on the disjoint union's basis."""
-    return kernel.equivalent(a1, a2, resolve(tol))
+    return kernel.equivalent(a1, a2, tol)
 
 
-def moore_reachable_part(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
-    return kernel.reachable_part(a, resolve(tol))
+def moore_reachable_part(a: MoorePA, tol: Tolerances = DEFAULT) -> MoorePA:
+    return kernel.reachable_part(a, tol)
 
 
-def find_convex_state_avg(a: MoorePA, tol: Tolerances | None = None):
+def find_convex_state_avg(a: MoorePA, tol: Tolerances = DEFAULT):
     """Convex-combination state of the averaged basis matrix, highest index first."""
-    return kernel.find_convex_state(a, resolve(tol))
+    return kernel.find_convex_state(a, tol)
 
 
-def remove_convex_state_avg(a: MoorePA, s: int, coeffs, tol: Tolerances | None = None) -> MoorePA:
+def remove_convex_state_avg(a: MoorePA, s: int, coeffs, tol: Tolerances = DEFAULT) -> MoorePA:
     """Fold a certified convex state into the mixture: B^x = (E 0) A^x (E ; xi)."""
-    return kernel.remove_convex_state(a, s, coeffs, resolve(tol))
+    return kernel.remove_convex_state(a, s, coeffs, tol)
 
 
-def reduce_avg(a: MoorePA, tol: Tolerances | None = None) -> MoorePA:
+def reduce_avg(a: MoorePA, tol: Tolerances = DEFAULT) -> MoorePA:
     """Strip unreachable states and eliminate convex combinations in one pass
     (`kernel.reduce_convex`)."""
-    return kernel.reduce_convex(a, resolve(tol))
+    return kernel.reduce_convex(a, tol)
 
 
 # --- classification of general automata --------------------------------------
@@ -96,15 +95,14 @@ class Classification(enum.Enum):
     GENERAL = "general"
 
 
-def classify(a: GeneralPA, tol: Tolerances | None = None) -> Classification:
+def classify(a: GeneralPA, tol: Tolerances = DEFAULT) -> Classification:
     """Factorization test P(s,x,s',y) = delta(s,x,s') . lam(s,x,y).
 
     Returns MOORE_DET_OUT when additionally the output law does not depend
     on the input and is deterministic; a Moore automaton with stochastic
     output classifies as MEALY.
     """
-    t = resolve(tol)
-    slack = t.sum * 100.0
+    slack = tol.rel * 100.0
     pairs = a._letters.reshape(len(a.inputs), len(a.outputs), a.n_states, a.n_states)
     delta = pairs.sum(axis=1)   # [x, s, s']: the input matrices
     lam = pairs.sum(axis=3)     # [x, y, s]: the output law

@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel, linalg
 from .dfa import Word
 from .generalpa import GeneralPA, ReactionTable, reaction_table, residual_automaton
-from .tolerances import Tolerances, resolve
+from .tolerances import DEFAULT, Tolerances
 
 UNIT_SYMBOL = "e"
 
@@ -25,25 +25,23 @@ class RandomSequence(kernel.WordTable):
 
     table = property(lambda self: self.values)
 
-    def validate(self, tol: Tolerances | None = None) -> "RandomSequence":
-        t = resolve(tol)
-        if abs(self.value(()) - 1.0) > t.sum:
+    def validate(self, tol: Tolerances = DEFAULT) -> "RandomSequence":
+        if abs(self.value(()) - 1.0) > tol.rel:
             raise ValueError("mass at the empty word is not 1")
-        bad = _leaks(self.values, t)
+        bad = _leaks(self.values, tol)
         if bad.size:
             raise ValueError(f"mass is not conserved below {self.values.word(bad[0])}")
-        negative = np.flatnonzero(self.values.array < -t.nonneg)
+        negative = np.flatnonzero(self.values.array < -tol.rel)
         if negative.size:
             raise ValueError(f"negative mass at {self.values.word(negative[0])}")
         return self
 
 
-def rs_residual(zeta: RandomSequence, u: Word, tol: Tolerances | None = None) -> RandomSequence:
+def rs_residual(zeta: RandomSequence, u: Word, tol: Tolerances = DEFAULT) -> RandomSequence:
     """Conditional sequence zeta_u(u') = zeta(uu') / zeta(u)."""
-    t = resolve(tol)
     u = tuple(u)
     mass = zeta.value(u)
-    if abs(mass) <= t.zero:
+    if abs(mass) <= tol.zero:
         raise ZeroDivisionError(f"residual at a zero-mass word {u}")
     return RandomSequence(zeta.alphabet, zeta.depth - len(u), zeta.values.after(u) / mass)
 
@@ -56,7 +54,7 @@ def rs_to_reaction(zeta: RandomSequence) -> ReactionTable:
     return ReactionTable((UNIT_SYMBOL,), zeta.alphabet, zeta.depth, zeta.values.array)
 
 
-def rs_automaton(zeta: RandomSequence, tol: Tolerances | None = None) -> GeneralPA | None:
+def rs_automaton(zeta: RandomSequence, tol: Tolerances = DEFAULT) -> GeneralPA | None:
     """Automaton generating zeta, rebuilt from residual closure (None if open)."""
     return residual_automaton(rs_to_reaction(zeta), tol)
 
@@ -73,11 +71,10 @@ class PairedSequence(ReactionTable):
 
     table = property(lambda self: self.values)
 
-    def validate(self, tol: Tolerances | None = None) -> "PairedSequence":
-        t = resolve(tol)
-        if abs(self.value((), ()) - 1.0) > t.sum:
+    def validate(self, tol: Tolerances = DEFAULT) -> "PairedSequence":
+        if abs(self.value((), ()) - 1.0) > tol.rel:
             raise ValueError("mass at the empty pair is not 1")
-        bad = _leaks(self.values, t)
+        bad = _leaks(self.values, tol)
         if bad.size:
             u, v = _sides(self)
             first = bad[np.lexsort((v[bad], u[bad]))[0]]  # input word major
@@ -106,7 +103,7 @@ def marginals(eta: PairedSequence) -> tuple[RandomSequence, RandomSequence]:
 
 def _leaks(table: kernel.ShortlexTable, t: Tolerances) -> np.ndarray:
     """Ranks of the words whose one-letter extensions do not add up to their mass."""
-    slack = t.sum * max(1.0, len(table.alphabet))
+    slack = t.rel * max(1.0, len(table.alphabet))
     below = table.children().sum(axis=1)
     return np.flatnonzero(np.abs(below - table.upto(table.depth - 1)) > slack)
 
@@ -153,10 +150,9 @@ class MarkovChain:
     def n_states(self) -> int:
         return self.initial.size
 
-    def validate(self, tol: Tolerances | None = None) -> "MarkovChain":
-        t = resolve(tol)
-        linalg.validate_stochastic(self.matrix, t, "transition matrix")
-        linalg.validate_distribution(self.initial, t, "initial distribution")
+    def validate(self, tol: Tolerances = DEFAULT) -> "MarkovChain":
+        linalg.validate_stochastic(self.matrix, tol, "transition matrix")
+        linalg.validate_distribution(self.initial, tol, "initial distribution")
         if len(self.labels) != self.n_states:
             raise ValueError("labeling is not total")
         if any(lab not in self.signals for lab in self.labels):
@@ -189,7 +185,7 @@ def mc_sequence(m: MarkovChain, depth: int) -> RandomSequence:
     return RandomSequence(m.signals, depth, values)
 
 
-def iid_sequence(alphabet, weights, depth: int, tol: Tolerances | None = None) -> RandomSequence:
+def iid_sequence(alphabet, weights, depth: int, tol: Tolerances = DEFAULT) -> RandomSequence:
     """Product sequence zeta(u) = prod of per-letter weights, as a one-state automaton."""
     w = linalg.validate_distribution(np.asarray(weights, dtype=float), tol, "letter weights")
     one = np.ones(1)

@@ -2,10 +2,10 @@
 
 Everything is computed in 64-bit floats, so every predicate ("is this a
 distribution", "is this row a convex combination", ...) needs a threshold.
-Keeping them all in one value makes every test assertable against one
-documented set of numbers.  A caller overrides them by passing its own
-`Tolerances` as the `tol` argument; there is no global override, and
-`tol=None` always means `DEFAULT`.
+There are two: an absolute zero and one relative threshold, from which every
+decision takes its slack against the size of what it compares.  A caller
+overrides them by passing its own `Tolerances` as the `tol` argument, whose
+default is always `DEFAULT`; there is no global override.
 """
 from __future__ import annotations
 
@@ -16,21 +16,24 @@ from dataclasses import dataclass
 class Tolerances:
     """Thresholds used by all numeric predicates.
 
-    zero    -- magnitudes at or below this count as exactly 0
-    sum     -- slack for affine constraints (row sums, total mass)
-    nonneg  -- how far below 0 a probability may drift
-    rank    -- relative threshold for rank and equality decisions: a residual
-               against its vector's length, and |(xi1 - xi2) . c| on a Krylov
-               column c against 10 rank (|xi1| + |xi2|) . |c|
-    lp      -- feasibility and objective threshold for the simplex solver;
-               10 lp relative to the rows is a convex certificate's scale
+    zero -- magnitudes at or below this count as exactly 0; two tables agree
+            when no entry differs by more than 100 zero
+    rel  -- every other threshold; the sites that scale it keep their factor
+            as a constant:
+            - slack for affine constraints (row sums, total mass), times the
+              number of outputs or letters summed, and times 100 in `classify`;
+            - how far below 0 a probability may drift;
+            - rank and equality decisions: a residual against its vector's
+              length, the condition of a Hankel core against 1 / rel, and
+              |(xi1 - xi2) . c| on a Krylov column c against
+              10 rel (|xi1| + |xi2|) . |c|;
+            - the simplex pivots, as an absolute threshold;
+            - a convex certificate's residual, 10 rel relative to the rows
+              (100 rel when `remove_convex_state` re-checks one).
     """
 
     zero: float = 1e-12
-    sum: float = 1e-9
-    nonneg: float = 1e-9
-    rank: float = 1e-9
-    lp: float = 1e-9
+    rel: float = 1e-9
 
 
 DEFAULT = Tolerances()
@@ -38,7 +41,3 @@ DEFAULT = Tolerances()
 
 def get_default() -> Tolerances:
     return DEFAULT
-
-
-def resolve(tol: Tolerances | None) -> Tolerances:
-    return DEFAULT if tol is None else tol

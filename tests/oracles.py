@@ -63,9 +63,9 @@ def lp_convex_certificate(rows: np.ndarray, s: int, tol: Tolerances = Tolerances
 
     The slack LP over (x over the other rows, y over the columns):
     x.W + y = rows[s], sum(x) + sum(y) = 1, min sum(y).  Accepts iff the
-    optimum is <= tol.lp and the coefficients (the LP's, or else the
+    optimum is <= tol.rel and the coefficients (the LP's, or else the
     nonnegative least-squares fit of [W^T; 1] x = [rows[s]; 1] started from
-    them) sum to 1 and reproduce rows[s] to 10 tol.lp relative to the rows.
+    them) sum to 1 and reproduce rows[s] to 10 tol.rel relative to the rows.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n, k = rows.shape
@@ -78,12 +78,12 @@ def lp_convex_certificate(rows: np.ndarray, s: int, tol: Tolerances = Tolerances
     a_eq[:k, m:] = np.eye(k)
     c = np.concatenate([np.zeros(m), np.ones(k)])
     sol = linalg.lp_solve(linalg.LpProblem(c, a_eq, np.append(target, 1.0)), tol)
-    if sol.status != linalg.OPTIMAL or sol.objective > tol.lp:
+    if sol.status != linalg.OPTIMAL or sol.objective > tol.rel:
         return None
-    scale = tol.lp * max(1.0, float(np.abs(rows).max())) * 10.0
+    scale = tol.rel * max(1.0, float(np.abs(rows).max())) * 10.0
 
     def reproduces(coeffs) -> bool:
-        return (abs(coeffs.sum() - 1.0) <= max(tol.lp * 10.0, tol.sum)
+        return (abs(coeffs.sum() - 1.0) <= tol.rel * 10.0
                 and float(np.abs(target - coeffs @ w).max()) <= scale)
 
     coeffs = np.clip(sol.x[:m], 0.0, None)
@@ -187,7 +187,7 @@ def full_basis_distributions_equivalent(a, xi1, xi2, t: Tolerances) -> bool:
     basis of a's final column, over all states."""
     xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
     d, size = xi1 - xi2, np.abs(xi1) + np.abs(xi2)
-    return all(abs(d @ c) <= t.rank * 10.0 * (size @ np.abs(c))
+    return all(abs(d @ c) <= t.rel * 10.0 * (size @ np.abs(c))
                for c in full_span(a._final, a._letters, t).columns)
 
 
@@ -446,15 +446,15 @@ def loop_iid(alphabet, weights, depth: int) -> dict:
 
 def loop_is_probabilistic_response(f: dict, inputs, outputs, depth: int,
                                    tol: Tolerances = Tolerances()) -> bool:
-    if abs(f.get(((), ()), 0.0) - 1.0) > tol.sum:
+    if abs(f.get(((), ()), 0.0) - 1.0) > tol.rel:
         return False
-    if any(val < -tol.nonneg for val in f.values()):
+    if any(val < -tol.rel for val in f.values()):
         return False
     for k in range(depth):
         for u in itertools.product(inputs, repeat=k):
             for v in itertools.product(outputs, repeat=k):
                 for x in inputs:
                     total = sum(f.get((u + (x,), v + (y,)), 0.0) for y in outputs)
-                    if abs(total - f.get((u, v), 0.0)) > tol.sum * max(1.0, len(outputs)):
+                    if abs(total - f.get((u, v), 0.0)) > tol.rel * max(1.0, len(outputs)):
                         return False
     return True

@@ -433,8 +433,8 @@ def test_constructions_preserve_membership(seed):
     cut = min(max(cut, 0.0), 0.99)
     expected = {u: member(a, cut, u) for u in words}
 
-    folded = fold_initial(a, cut)
-    binarized = binarize_output(a, cut)
+    folded = fold_initial(a)
+    binarized = binarize_output(a)
     for u in words:
         assert member(folded, cut, u) == expected[u]
         assert member(binarized, cut, u) == expected[u]

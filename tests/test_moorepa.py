@@ -364,7 +364,7 @@ def test_classify_slack_follows_tol():
     a = GeneralPA(("x",), ("p", "q"), {("x", "p"): p, ("x", "q"): q},
                   np.array([1.0, 0.0])).validate()
     assert classify(a) is Classification.MEALY
-    assert classify(a, Tolerances(sum=1e-13)) is Classification.GENERAL
+    assert classify(a, Tolerances(rel=1e-13)) is Classification.GENERAL
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ answer at every k.  The instances are seeded `gen` automata: unequal pairs at
 a relative gap g or with one letter bumped, true equivalences built with a
 cancelling sum, realizations of their own tables, and a huge isolated state
 that no initial row reaches.  The embedding's reflector is checked down to
-1e-300 and up to 1e300.
+1e-300 and up to 1e300, and the embedding keeps the sign of a tiny output.
 """
 import numpy as np
 import pytest
@@ -20,11 +20,13 @@ from probautomata import (
     LinearAutomaton,
     MoorePA,
     avg_equivalent,
+    avg_reaction,
     e_f_dimension,
     equivalent,
     la_equivalent,
     la_language_pa,
     la_table,
+    la_to_pa_affine,
     member,
     realize,
 )
@@ -206,3 +208,22 @@ def test_orthogonal_with_first_column_at_every_scale(entries, scale):
     u = v / np.abs(v).max()
     assert np.allclose(q.T @ q, np.eye(v.size), rtol=0.0, atol=1e-14)
     assert np.allclose(q[:, 0], u / np.linalg.norm(u), rtol=0.0, atol=1e-14)
+
+
+def test_la_to_pa_affine_keeps_the_sign_of_a_tiny_output():
+    # f_A(u) - 1/(n+2) = a^(|u|+1) f_L(u): only an exactly zero output may give
+    # the constant automaton, and every value clear of the rounding of 1/(n+2)
+    # keeps its sign
+    checked = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        l = gen.random_la(rng, int(rng.integers(1, 5)), 2)
+        small = LinearAutomaton(l.inputs, dict(l.trans), l.initial, 2.0**-40 * l.lam)
+        pa, a = la_to_pa_affine(small)
+        assert not all(np.array_equal(m, np.eye(pa.n_states)) for m in pa._letters)
+        for u in words_upto(l.inputs, 1):
+            shift = a ** (len(u) + 1) * la_reaction(small, u)
+            if abs(shift) > 1e-13:
+                checked += 1
+                assert np.sign(avg_reaction(pa, u) - 1.0 / (l.dim + 2)) == np.sign(shift)
+    assert checked > 0
