@@ -1,4 +1,4 @@
-"""Deterministic finite automata: reachability, Hopcroft minimization, DOT export."""
+"""Deterministic finite automata: reachability, Moore minimization, DOT export."""
 from __future__ import annotations
 
 import itertools
@@ -46,88 +46,52 @@ class Dfa:
 
 
 def dfa_reachable_part(d: Dfa) -> Dfa:
-    """Restrict to states reachable from the start.
-
-    Computes the chain S_0 = {start}, S_{i+1} = S_i + one-step successors;
-    the chain stabilizes after fewer than n_states rounds.
-    """
-    current = {d.start}
-    rounds = 0
-    while True:
-        nxt = set(current)
-        for s in current:
-            for x in d.alphabet:
-                nxt.add(d.step(s, x))
-        if nxt == current:
-            break
-        current = nxt
-        rounds += 1
-        assert rounds < d.n_states, "reachability chain exceeded state count"
-    order = sorted(current)
+    """Restrict to states reachable from the start, keeping their order."""
+    order, seen = [d.start], {d.start}
+    for s in order:  # breadth-first: the list grows while it is read
+        for x in d.alphabet:
+            t = d.trans[x][s]
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    order.sort()
     index = {s: i for i, s in enumerate(order)}
     return Dfa(
         alphabet=d.alphabet,
         n_states=len(order),
         start=index[d.start],
         trans={x: tuple(index[d.trans[x][s]] for s in order) for x in d.alphabet},
-        accepting=frozenset(index[s] for s in d.accepting if s in current),
+        accepting=frozenset(index[s] for s in d.accepting if s in seen),
     )
 
 
 def dfa_minimize(d: Dfa) -> Dfa:
-    """Hopcroft partition refinement on the reachable part."""
+    """Moore partition refinement on the reachable part.
+
+    Round k+1 gives each state the signature (accepting, classes of its
+    successors in round k), starting from one class; states with equal
+    signatures share a class.  Numbering the signatures by first occurrence
+    in state order orders the classes by their smallest member.  A round
+    that adds no class repeats the last partition, so the signatures of
+    that round are the minimal automaton's states.
+    """
     d = dfa_reachable_part(d)
-    n = d.n_states
-    accepting = set(d.accepting)
-    rest = set(range(n)) - accepting
-    partition = [blk for blk in (accepting, rest) if blk]
-    work = [blk.copy() for blk in partition]
-
-    # predecessor lists per symbol
-    preds: dict[str, list[list[int]]] = {
-        x: [[] for _ in range(n)] for x in d.alphabet
-    }
-    for x in d.alphabet:
-        row = d.trans[x]
-        for s in range(n):
-            preds[x][row[s]].append(s)
-
-    while work:
-        splitter = work.pop()
-        for x in d.alphabet:
-            incoming = set()
-            for q in splitter:
-                incoming.update(preds[x][q])
-            new_partition = []
-            for blk in partition:
-                inter = blk & incoming
-                diff = blk - incoming
-                if inter and diff:
-                    new_partition.extend((inter, diff))
-                    if blk in work:
-                        work.remove(blk)
-                        work.extend((inter, diff))
-                    else:
-                        work.append(inter if len(inter) <= len(diff) else diff)
-                else:
-                    new_partition.append(blk)
-            partition = new_partition
-
-    # canonical numbering: blocks ordered by their smallest member
-    partition.sort(key=min)
-    block_of = {}
-    for i, blk in enumerate(partition):
-        for s in blk:
-            block_of[s] = i
+    flags = [s in d.accepting for s in range(d.n_states)]
+    block, count = [0] * d.n_states, 1
+    while True:
+        ids: dict[tuple, int] = {}
+        signatures = zip(flags, *([block[q] for q in d.trans[x]] for x in d.alphabet))
+        new = [ids.setdefault(sig, len(ids)) for sig in signatures]
+        if len(ids) == count:
+            break
+        block, count = new, len(ids)
+    accepting, *rows = zip(*ids)
     return Dfa(
         alphabet=d.alphabet,
-        n_states=len(partition),
-        start=block_of[d.start],
-        trans={
-            x: tuple(block_of[d.trans[x][min(blk)]] for blk in partition)
-            for x in d.alphabet
-        },
-        accepting=frozenset(block_of[s] for s in d.accepting),
+        n_states=count,
+        start=block[d.start],
+        trans=dict(zip(d.alphabet, rows)),
+        accepting=frozenset(itertools.compress(range(count), accepting)),
     )
 
 

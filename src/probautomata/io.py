@@ -79,6 +79,24 @@ def _require(doc: dict, key: str, path: str) -> Any:
     return doc[key]
 
 
+_JSON_TYPES = {int: "an integer", (int, float): "a number", list: "an array", dict: "an object"}
+
+
+def _typed(value: Any, kind, path: str) -> Any:
+    """The value, when it has the JSON type `kind`, a key of _JSON_TYPES (no bool is a number)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SchemaError(path, f"expected {_JSON_TYPES[kind]}")
+    return value
+
+
+def _field(doc: dict, key: str, path: str, kind) -> Any:
+    return _typed(_require(doc, key, path), kind, f"{path}.{key}")
+
+
+def _integers(value: Any, path: str) -> list[int]:
+    return [_typed(q, int, f"{path}[{j}]") for j, q in enumerate(_typed(value, list, path))]
+
+
 def _symbols(value: Any, path: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not value or not all(isinstance(s, str) for s in value):
         raise SchemaError(path, "expected a non-empty array of symbol strings")
@@ -87,23 +105,14 @@ def _symbols(value: Any, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _matrix(value: Any, path: str) -> np.ndarray:
+def _array(value: Any, path: str, ndim: int) -> np.ndarray:
+    """A vector (ndim 1) or a matrix (ndim 2) of numbers."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(path, f"not a numeric matrix: {exc}") from None
-    if arr.ndim != 2:
-        raise SchemaError(path, "expected an array of arrays of numbers")
-    return arr
-
-
-def _vector(value: Any, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(path, f"not a numeric vector: {exc}") from None
-    if arr.ndim != 1:
-        raise SchemaError(path, "expected an array of numbers")
+        raise SchemaError(path, f"not numeric: {exc}") from None
+    if arr.ndim != ndim:
+        raise SchemaError(path, "expected an array of " + "arrays of " * (ndim - 1) + "numbers")
     return arr
 
 
@@ -166,27 +175,27 @@ def from_document(doc: Any, tol: Tolerances = DEFAULT, path: str = "$"):
         if kind == "general_pa":
             inputs = _symbols(_require(doc, "inputs", path), f"{path}.inputs")
             outputs = _symbols(_require(doc, "outputs", path), f"{path}.outputs")
-            raw = _require(doc, "trans", path)
+            raw = _field(doc, "trans", path, dict)
             trans = {}
             for x in inputs:
                 for y in outputs:
                     key = f"{x}|{y}"
                     if key not in raw:
                         raise SchemaError(f"{path}.trans.{key}", "missing matrix")
-                    trans[(x, y)] = _matrix(raw[key], f"{path}.trans.{key}")
+                    trans[(x, y)] = _array(raw[key], f"{path}.trans.{key}", 2)
             return GeneralPA(
-                inputs, outputs, trans, _vector(_require(doc, "initial", path), f"{path}.initial")
+                inputs, outputs, trans, _array(_require(doc, "initial", path), f"{path}.initial", 1)
             ).validate(tol)
         if kind in ("moore_pa", "linear_automaton"):
             inputs = _symbols(_require(doc, "inputs", path), f"{path}.inputs")
-            raw = _require(doc, "trans", path)
+            raw = _field(doc, "trans", path, dict)
             trans = {}
             for x in inputs:
                 if x not in raw:
                     raise SchemaError(f"{path}.trans.{x}", "missing matrix")
-                trans[x] = _matrix(raw[x], f"{path}.trans.{x}")
-            initial = _vector(_require(doc, "initial", path), f"{path}.initial")
-            lam = _vector(_require(doc, "lambda", path), f"{path}.lambda")
+                trans[x] = _array(raw[x], f"{path}.trans.{x}", 2)
+            initial = _array(_require(doc, "initial", path), f"{path}.initial", 1)
+            lam = _array(_require(doc, "lambda", path), f"{path}.lambda", 1)
             if kind == "moore_pa":
                 return MoorePA(inputs, trans, initial, lam).validate(tol)
             return LinearAutomaton(inputs, trans, initial, lam).validate()
@@ -194,31 +203,29 @@ def from_document(doc: Any, tol: Tolerances = DEFAULT, path: str = "$"):
             signals = _symbols(_require(doc, "signals", path), f"{path}.signals")
             return MarkovChain(
                 signals,
-                _matrix(_require(doc, "matrix", path), f"{path}.matrix"),
-                tuple(_require(doc, "labels", path)),
-                _vector(_require(doc, "initial", path), f"{path}.initial"),
+                _array(_require(doc, "matrix", path), f"{path}.matrix", 2),
+                tuple(_field(doc, "labels", path, list)),
+                _array(_require(doc, "initial", path), f"{path}.initial", 1),
             ).validate(tol)
         if kind == "dfa":
             alphabet = _symbols(_require(doc, "alphabet", path), f"{path}.alphabet")
-            raw = _require(doc, "trans", path)
+            raw = _field(doc, "trans", path, dict)
             trans = {}
             for x in alphabet:
                 if x not in raw:
                     raise SchemaError(f"{path}.trans.{x}", "missing transition row")
-                trans[x] = tuple(int(q) for q in raw[x])
+                trans[x] = _integers(raw[x], f"{path}.trans.{x}")
             return Dfa(
                 alphabet=alphabet,
-                n_states=int(_require(doc, "states", path)),
-                start=int(_require(doc, "start", path)),
+                n_states=_field(doc, "states", path, int),
+                start=_field(doc, "start", path, int),
                 trans=trans,
-                accepting=frozenset(int(q) for q in _require(doc, "accepting", path)),
+                accepting=_integers(_require(doc, "accepting", path), f"{path}.accepting"),
             )
         # table kinds
         alphabet = _symbols(_require(doc, "alphabet", path), f"{path}.alphabet")
-        depth = int(_require(doc, "depth", path))
-        raw = _require(doc, "table", path)
-        if not isinstance(raw, dict):
-            raise SchemaError(f"{path}.table", "expected an object")
+        depth = _field(doc, "depth", path, int)
+        raw = _field(doc, "table", path, dict)
         table = {}
         for key, value in raw.items():
             word = key_to_word(key)
@@ -226,13 +233,13 @@ def from_document(doc: Any, tol: Tolerances = DEFAULT, path: str = "$"):
                 raise SchemaError(f"{path}.table.{key!r}", "symbol outside the alphabet")
             if len(word) > depth:
                 raise SchemaError(f"{path}.table.{key!r}", "word longer than the depth")
-            table[word] = float(value)
+            table[word] = float(_typed(value, (int, float), f"{path}.table.{key!r}"))
         if kind == "string_function":
             return StringFunctionTable(alphabet, depth, table)
         return RandomSequence(alphabet, depth, table).validate(tol)
     except SchemaError:
         raise
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise SchemaError(path, str(exc)) from None
 
 

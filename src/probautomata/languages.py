@@ -7,6 +7,7 @@ assumption, ergodicity and contraction analysis, definiteness, stability.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -20,18 +21,26 @@ from .generalpa import GeneralPA
 from .moorepa import MoorePA, avg_reaction, avg_reaction_table
 from .tolerances import DEFAULT, Tolerances
 
+TABLE_LIMIT = 1 << 16  # the most words of one length a suffix table or a layer scan takes
+
+
+def _check_cut(*cutpoints: float, delta: float | None = None) -> None:
+    """Every cut point lies in [0, 1) and delta, when given, in (0, inf); NaN fails both."""
+    if not all(0.0 <= c < 1.0 for c in cutpoints):
+        raise ValueError(f"cut point{'s' if len(cutpoints) > 1 else ''} must lie in [0, 1)")
+    if delta is not None and not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
+
 
 def member(a: MoorePA, cutpoint: float, u: Word) -> bool:
     """u belongs to the cut language iff the averaged reaction exceeds the cut."""
-    if not 0.0 <= cutpoint < 1.0:
-        raise ValueError("cut point must lie in [0, 1)")
+    _check_cut(cutpoint)
     return avg_reaction(a, tuple(u)) > cutpoint
 
 
 def enumerate_members(a: MoorePA, cutpoint: float, max_len: int) -> list[Word]:
     """Members of the cut language up to max_len, in shortlex order."""
-    if not 0.0 <= cutpoint < 1.0:
-        raise ValueError("cut point must lie in [0, 1)")
+    _check_cut(cutpoint)
     table = avg_reaction_table(a, max_len)
     return list(compress(table, table.array > cutpoint))
 
@@ -75,8 +84,7 @@ def shift_cutpoint(a: MoorePA, old: float, new: float) -> MoorePA:
     initial mass split alpha / 1-alpha); raising it mixes in an absorbing
     all-accepting state.  old == new returns the automaton unchanged.
     """
-    if not 0.0 <= old < 1.0 or not 0.0 <= new < 1.0:
-        raise ValueError("cut points must lie in [0, 1)")
+    _check_cut(old, new)
     if new == old:
         return a
     if new < old:
@@ -137,8 +145,7 @@ def isolation_scan(a: MoorePA, cutpoint: float, delta: float, max_len: int) -> I
     reactions are thresholded as one array in shortlex order; the witness
     is the first word within the guard.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_cut(cutpoint, delta=delta)
     values = kernel.prefix_values(a.initial, a._letters, a.lam, max_len)
     hits = np.flatnonzero(np.abs(values - cutpoint) < delta * (1.0 - 1e-9))
     if hits.size:
@@ -161,47 +168,31 @@ def extract_dfa(a: MoorePA, cutpoint: float, delta: float, minimize: bool = True
     The search terminates because only finitely many radius-separated rows
     fit in the simplex.  The representatives are the rows of one growing
     array, in discovery order, and each successor row is compared with all
-    of them at once.  The result is Hopcroft-minimized unless disabled.
+    of them at once.  The result is minimized unless disabled.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_cut(cutpoint, delta=delta)
     n = a.n_states
     radius = 2.0 * delta / (n * n * max(1.0, linalg.norm_abs(a.lam)))
     reps = np.empty((16, n))  # rows 0..count-1 are the representatives
     reps[0] = a.initial
     count = 1
-    successors: dict[tuple[int, str], int] = {}
-    frontier = deque([0])
-    while frontier:
-        i = frontier.popleft()
+    trans: dict[str, list[int]] = {x: [] for x in a.inputs}
+    i = 0
+    while i < count:  # breadth-first: representative i's successors are found i-th
         for x in a.inputs:
             row = reps[i] @ a.matrix(x)
             near = np.flatnonzero(np.abs(reps[:count] - row).max(axis=1) <= radius)
             if near.size:
-                target = int(near[0])
-            else:
-                if count == len(reps):
-                    reps = np.concatenate([reps, np.empty_like(reps)])
-                reps[count] = row
-                target = count
-                count += 1
-                frontier.append(target)
-            successors[(i, x)] = target
-    reps = reps[:count]
-    accepting = {
-        i for i, r in enumerate(reps) if float(r @ a.lam) > cutpoint
-    }
-    trans = {
-        x: tuple(successors[(i, x)] for i in range(count))
-        for x in a.inputs
-    }
-    raw = Dfa(
-        alphabet=a.inputs,
-        n_states=count,
-        start=0,
-        trans=trans,
-        accepting=frozenset(accepting),
-    )
+                trans[x].append(int(near[0]))
+                continue
+            if count == len(reps):
+                reps = np.concatenate([reps, np.empty_like(reps)])
+            reps[count] = row
+            trans[x].append(count)
+            count += 1
+        i += 1
+    accepting = {i for i, r in enumerate(reps[:count]) if float(r @ a.lam) > cutpoint}
+    raw = Dfa(alphabet=a.inputs, n_states=count, start=0, trans=trans, accepting=accepting)
     return dfa_minimize(raw) if minimize else raw
 
 
@@ -295,7 +286,6 @@ class DefiniteRep:
 
 
 def definite_rep(a: MoorePA, cutpoint: float, delta: float,
-                 table_limit: int = 1 << 16,
                  tol: Tolerances = DEFAULT) -> DefiniteRep | None:
     """Suffix-determined representation of the cut language, when derivable.
 
@@ -307,6 +297,7 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
     when neither hypothesis holds.  Suffix determination is re-validated
     level by level on all words with k <= |u| <= k+2.
     """
+    _check_cut(cutpoint, delta=delta)
     n = a.n_states
     threshold = 2.0 * delta / (n * max(1.0, linalg.norm_abs(a.lam)))
     c = min(float(a.matrix(x).min()) for x in a.inputs)
@@ -328,12 +319,10 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
                    for block in kernel.word_matrix_blocks(a._letters, k)):
                 break
             k += 1
-            if len(a.inputs) ** k > table_limit:
+            if len(a.inputs) ** k > TABLE_LIMIT:
                 return None
-    if len(a.inputs) ** k > table_limit:
+    if len(a.inputs) ** k > TABLE_LIMIT:
         raise ValueError(f"suffix table of size |X|^{k} exceeds the limit")
-    if not 0.0 <= cutpoint < 1.0:
-        raise ValueError("cut point must lie in [0, 1)")
     table = kernel.ShortlexTable(a.inputs, k + 2,
                                  kernel.prefix_values(a.initial, a._letters, a.lam, k + 2))
     suffix, short = table.level(k) > cutpoint, table.upto(k - 1) > cutpoint
@@ -368,7 +357,7 @@ def stability_check(a: MoorePA, tol: Tolerances = DEFAULT) -> StabilityReport:
     """Sufficient stability conditions for isolated cut points.
 
     StableAll when every letter matrix contracts the spread norm strictly;
-    otherwise search for a layer l <= n^2 (with at most 2^16 words) on which
+    otherwise search for a layer l <= n^2 (with at most TABLE_LIMIT words) on which
     every word matrix is strictly positive, one block of word matrices at a
     time, leaving a layer at its first block with a non-positive matrix;
     otherwise Unknown (the matching necessary condition is not implemented,
@@ -379,7 +368,7 @@ def stability_check(a: MoorePA, tol: Tolerances = DEFAULT) -> StabilityReport:
         return StabilityReport(STABLE_ALL)
     n = a.n_states
     for length in range(1, n * n + 1):
-        if len(a.inputs) ** length > 1 << 16:
+        if len(a.inputs) ** length > TABLE_LIMIT:
             break
         if all(float(block.min()) > tol.zero
                for block in kernel.word_matrix_blocks(a._letters, length)):

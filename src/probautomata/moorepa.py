@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel, linalg
-from .dfa import Dfa, Word, dfa_reachable_part, words_upto
+from .dfa import Dfa, Word
 from .generalpa import GeneralPA
 from .tolerances import DEFAULT, Tolerances
 
@@ -141,23 +141,3 @@ def dfa_to_pa(d: Dfa) -> MoorePA:
     lam = np.array([1.0 if s in d.accepting else 0.0 for s in range(n)])
     return MoorePA(d.alphabet, trans, linalg.point_distribution(n, d.start), lam)
 
-
-__all__ = [
-    "MoorePA",
-    "avg_reaction",
-    "avg_reaction_table",
-    "avg_basis_matrix",
-    "avg_distributions_equivalent",
-    "avg_equivalent",
-    "moore_disjoint_union",
-    "moore_reachable_part",
-    "find_convex_state_avg",
-    "remove_convex_state_avg",
-    "reduce_avg",
-    "Classification",
-    "classify",
-    "moore_to_general",
-    "dfa_to_pa",
-    "dfa_reachable_part",
-    "words_upto",
-]

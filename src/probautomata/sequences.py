@@ -26,14 +26,7 @@ class RandomSequence(kernel.WordTable):
     table = property(lambda self: self.values)
 
     def validate(self, tol: Tolerances = DEFAULT) -> "RandomSequence":
-        if abs(self.value(()) - 1.0) > tol.rel:
-            raise ValueError("mass at the empty word is not 1")
-        bad = _leaks(self.values, tol)
-        if bad.size:
-            raise ValueError(f"mass is not conserved below {self.values.word(bad[0])}")
-        negative = np.flatnonzero(self.values.array < -tol.rel)
-        if negative.size:
-            raise ValueError(f"negative mass at {self.values.word(negative[0])}")
+        _check_mass(self.values, tol, "word", lambda ranks: self.values.word(ranks[0]))
         return self
 
 
@@ -72,15 +65,14 @@ class PairedSequence(ReactionTable):
     table = property(lambda self: self.values)
 
     def validate(self, tol: Tolerances = DEFAULT) -> "PairedSequence":
-        if abs(self.value((), ()) - 1.0) > tol.rel:
-            raise ValueError("mass at the empty pair is not 1")
-        bad = _leaks(self.values, tol)
-        if bad.size:
-            u, v = _sides(self)
-            first = bad[np.lexsort((v[bad], u[bad]))[0]]  # input word major
-            pair = tuple(zip(*self.values.word(first))) or ((), ())
-            raise ValueError(f"mass is not conserved below {pair}")
+        _check_mass(self.values, tol, "pair", self._first_pair)
         return self
+
+    def _first_pair(self, ranks: np.ndarray) -> tuple[Word, Word]:
+        """The pair (u, v) of the given ranks that comes first, input word major."""
+        u, v = _sides(self)
+        first = ranks[np.lexsort((v[ranks], u[ranks]))[0]]
+        return tuple(zip(*self.values.word(first))) or ((), ())
 
 
 def pair_from(zeta: RandomSequence, a: GeneralPA) -> PairedSequence:
@@ -101,11 +93,21 @@ def marginals(eta: PairedSequence) -> tuple[RandomSequence, RandomSequence]:
     )
 
 
-def _leaks(table: kernel.ShortlexTable, t: Tolerances) -> np.ndarray:
-    """Ranks of the words whose one-letter extensions do not add up to their mass."""
+def _check_mass(table: kernel.ShortlexTable, t: Tolerances, empty: str, name) -> None:
+    """Mass 1 at the empty word, conserved below every word and nowhere negative.
+
+    `name` names the first of an array of ranks in the error message.
+    """
+    if abs(table.array[0] - 1.0) > t.rel:
+        raise ValueError(f"mass at the empty {empty} is not 1")
     slack = t.rel * max(1.0, len(table.alphabet))
     below = table.children().sum(axis=1)
-    return np.flatnonzero(np.abs(below - table.upto(table.depth - 1)) > slack)
+    leaks = np.flatnonzero(np.abs(below - table.upto(table.depth - 1)) > slack)
+    if leaks.size:
+        raise ValueError(f"mass is not conserved below {name(leaks)}")
+    negative = np.flatnonzero(table.array < -t.rel)
+    if negative.size:
+        raise ValueError(f"negative mass at {name(negative)}")
 
 
 def _sides(f: ReactionTable):

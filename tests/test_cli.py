@@ -90,6 +90,39 @@ def test_validate_invalid_automaton(tmp_path, capsys):
     assert "distribution" in err
 
 
+DFA_DOC = {"schema": 1, "kind": "dfa", "alphabet": ["a"], "states": 2, "start": 0,
+           "trans": {"a": [1, 0]}, "accepting": [1]}
+TABLE_DOC = {"schema": 1, "kind": "string_function", "alphabet": ["a"], "depth": 1,
+             "table": {"": 1.0, "a": 0.5}}
+CHAIN_DOC = {"schema": 1, "kind": "markov_chain", "signals": ["a"], "matrix": [[1.0]],
+             "labels": ["a"], "initial": [1.0]}
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({**TABLE_DOC, "depth": [1]}, "$.depth"),
+    ({**TABLE_DOC, "depth": "1"}, "$.depth"),
+    ({**TABLE_DOC, "table": {"": [1.0], "a": 0.5}}, "$.table.''"),
+    ({**TABLE_DOC, "table": [1.0, 0.5]}, "$.table"),
+    ({**DFA_DOC, "states": None}, "$.states"),
+    ({**DFA_DOC, "start": True}, "$.start"),
+    ({**DFA_DOC, "accepting": 1}, "$.accepting"),
+    ({**DFA_DOC, "accepting": [1.5]}, "$.accepting[0]"),
+    ({**DFA_DOC, "trans": {"a": 1}}, "$.trans.a"),
+    ({**DFA_DOC, "trans": {"a": [0.9, 1.2]}}, "$.trans.a[0]"),
+    ({**DFA_DOC, "trans": "a"}, "$.trans"),
+    ({**CHAIN_DOC, "labels": 1}, "$.labels"),
+], ids=["depth-array", "depth-string", "table-value-array", "table-array", "states-null",
+        "start-bool", "accepting-int", "accepting-float", "row-int", "row-floats", "trans-string",
+        "labels-int"])
+def test_wrongly_typed_fields_exit_2_with_their_path(tmp_path, capsys, doc, path):
+    # exit 1 is a verdict for `equiv` and `lang member`, so a wrong type must end in exit 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}:{path}: expected ") and err.count("\n") == 1
+
+
 def test_react_cantor(capsys):
     code, out, _ = run(capsys, "react", CANTOR, "--input", "20")
     assert code == 0
@@ -183,7 +216,14 @@ def test_lang_errors_exit_2(tmp_path, capsys):
     (("la", "op", "conv", "{x}", "{ab}", "-o", "{out}"), "alphabet mismatch"),
     (("react", RABIN, "--input", "x", "--output", "q"), "symbol 'q' not in the alphabet"),
     (("extract-dfa", CANTOR, "--cutpoint", "0.5", "--delta", "0"), "delta must be positive"),
-], ids=["equiv-alphabets", "la-sum", "la-prod", "la-conv", "react-output", "extract-dfa-delta-0"])
+    (("extract-dfa", CANTOR, "--cutpoint", "0.5", "--delta", "nan"), "delta must be positive"),
+    # exit 1 of `definite` means "not derivable", which a slowly mixing positive automaton is not
+    (("definite", str(DATA / "slow_mixing.json"), "--cutpoint", "0.5", "--delta", "0"),
+     "delta must be positive"),
+    (("definite", str(DATA / "slow_mixing.json"), "--cutpoint", "0.5", "--delta", "-0.1"),
+     "delta must be positive"),
+], ids=["equiv-alphabets", "la-sum", "la-prod", "la-conv", "react-output", "extract-dfa-delta-0",
+        "extract-dfa-delta-nan", "definite-delta-0", "definite-delta-negative"])
 def test_rejected_library_inputs_exit_2(tmp_path, capsys, argv, message):
     paths = {"{x}": tmp_path / "x.json", "{ab}": tmp_path / "ab.json",
              "{out}": tmp_path / "out.json"}

@@ -1,4 +1,6 @@
+import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -178,20 +180,86 @@ def test_isolation_scan_rejects_bad_delta(cantor):
         isolation_scan(cantor, 0.5, 0.0, 3)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_dfa_minimize_matches_moore_refinement(seed):
-    rng = np.random.default_rng(seed)
+# each call takes (automaton, cut point, delta); the functions without a delta ignore it
+CUT_CALLS = {
+    "member": lambda a, cut, delta: member(a, cut, ("2",)),
+    "enumerate_members": lambda a, cut, delta: enumerate_members(a, cut, 2),
+    "shift_cutpoint-from": lambda a, cut, delta: shift_cutpoint(a, cut, 0.5),
+    "shift_cutpoint-to": lambda a, cut, delta: shift_cutpoint(a, 0.5, cut),
+    "definite_rep": lambda a, cut, delta: definite_rep(a, cut, delta),
+    "isolation_scan": lambda a, cut, delta: isolation_scan(a, cut, delta, 3),
+    "extract_dfa": lambda a, cut, delta: extract_dfa(a, cut, delta),
+}
+DELTA_CALLS = ("definite_rep", "isolation_scan", "extract_dfa")
+
+
+@pytest.mark.parametrize("cut", [math.nan, 1.0, -0.25, math.inf], ids=str)
+@pytest.mark.parametrize("name", CUT_CALLS)
+def test_cut_point_outside_the_unit_interval_is_rejected(cantor, name, cut):
+    with pytest.raises(ValueError, match=r"cut points? must lie in \[0, 1\)"):
+        CUT_CALLS[name](cantor, cut, 0.1)
+
+
+@pytest.mark.parametrize("delta", [math.nan, 0.0, -0.1, math.inf], ids=str)
+@pytest.mark.parametrize("name", DELTA_CALLS)
+def test_delta_must_be_positive_and_finite(cantor, name, delta):
+    # NaN fails every comparison: unchecked, a scan reads `clear` and an extraction never ends
+    with pytest.raises(ValueError, match="delta must be positive and finite"):
+        CUT_CALLS[name](cantor, 0.5, delta)
+
+
+def random_dfa(rng, max_states: int, density: float = 0.5) -> Dfa:
     alphabet = ("a", "b", "c")[: int(rng.integers(1, 4))]
-    n = int(rng.integers(1, 13))
-    d = Dfa(
+    n = int(rng.integers(1, max_states + 1))
+    return Dfa(
         alphabet, n, int(rng.integers(n)),
         {x: tuple(int(q) for q in rng.integers(n, size=n)) for x in alphabet},
-        frozenset(int(q) for q in np.flatnonzero(rng.random(n) < 0.5)),
+        frozenset(int(q) for q in np.flatnonzero(rng.random(n) < density)),
     )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dfa_minimize_matches_moore_refinement(seed):
+    d = random_dfa(np.random.default_rng(seed), 12)
     m = dfa_minimize(d)
     assert m.n_states == moore_class_count(d)
-    for u in enumerate_words(alphabet, 6):
+    for u in enumerate_words(d.alphabet, 6):
         assert m.accepts(u) == d.accepts(u)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dfa_minimize_numbers_classes_by_their_smallest_member(seed):
+    rng = np.random.default_rng(seed)
+    d = random_dfa(rng, 40, float(rng.random()))
+    r, m = dfa_reachable_part(d), dfa_minimize(d)
+    # walking both automata from their starts pairs each reachable state with its class
+    cls = {r.start: m.start}
+    stack = [r.start]
+    while stack:
+        s = stack.pop()
+        for x in d.alphabet:
+            t, c = r.trans[x][s], m.trans[x][cls[s]]
+            if t not in cls:
+                cls[t] = c
+                stack.append(t)
+            assert cls[t] == c  # the pairing is a function
+    assert sorted(cls) == list(range(r.n_states))
+    assert all((s in r.accepting) == (c in m.accepting) for s, c in cls.items())
+    block = [cls[s] for s in range(r.n_states)]
+    assert list(dict.fromkeys(block)) == list(range(m.n_states))  # first occurrences 0, 1, 2, ...
+    assert dfa_minimize(m) == m
+
+
+def test_dfa_minimize_of_a_random_2000_state_dfa_is_fast():
+    # a few Moore rounds take milliseconds; a minimizer quadratic in the states takes a second
+    rng = np.random.default_rng(7)
+    n = 2000
+    d = Dfa(("a", "b"), n, 0, {x: tuple(rng.integers(n, size=n).tolist()) for x in "ab"},
+            frozenset(np.flatnonzero(rng.random(n) < 0.5).tolist()))
+    start = time.perf_counter()
+    m = dfa_minimize(d)
+    assert time.perf_counter() - start < 0.5
+    assert m.n_states == moore_class_count(d)
 
 
 def test_extract_dfa_cantor(cantor):

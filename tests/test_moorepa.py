@@ -397,7 +397,7 @@ def test_dfa_to_pa_sink_and_empty():
 
 
 def test_dfa_reachable_chain_worst_case():
-    # a length-5 chain needs the maximum number of rounds, still < |S|
+    # a length-5 chain is the deepest breadth-first search over 5 states
     n = 5
     chain = Dfa(
         alphabet=("a",),
@@ -406,7 +406,7 @@ def test_dfa_reachable_chain_worst_case():
         trans={"a": tuple(min(i + 1, n - 1) for i in range(n))},
         accepting=frozenset({n - 1}),
     )
-    assert dfa_reachable_part(chain).n_states == n  # internal round counter < |S|
+    assert dfa_reachable_part(chain).n_states == n
 
 
 def test_dfa_reachable_part(ends_in_two_dfa):

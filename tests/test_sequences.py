@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from probautomata import (
     GeneralPA,
     MarkovChain,
+    PairedSequence,
     RandomSequence,
     iid_sequence,
     marginals,
@@ -130,6 +131,17 @@ def test_pair_from_identity(fair_coin, identity_transducer):
         if u:
             other = tuple("a" if s == "b" else "b" for s in u)
             assert eta.value(u, other) == 0.0
+
+
+@pytest.mark.parametrize("table", [
+    RandomSequence(("p", "q"), 1, {(): 1.0, ("p",): 1.5, ("q",): -0.5}),
+    PairedSequence(("a",), ("p", "q"), 1,
+                   {((), ()): 1.0, (("a",), ("p",)): 1.5, (("a",), ("q",)): -0.5}),
+], ids=["random", "paired"])
+def test_negative_mass_is_rejected(table):
+    # the masses add up below the empty word, so only the sign can fail
+    with pytest.raises(ValueError, match="negative mass at"):
+        table.validate()
 
 
 def test_pair_from_rabin_style(fair_coin):
