@@ -30,11 +30,15 @@ from .linauto import (
     LinearAutomaton,
     StringFunctionTable,
     e_f_dimension,
-    la_combine,
+    la_convolution,
+    la_iterate,
     la_language_pa,
+    la_product,
+    la_reverse,
+    la_scale,
+    la_sum,
     la_to_pa_affine,
     la_to_rational_expr,
-    la_unary,
     realize,
     to_sexpr,
 )
@@ -204,8 +208,12 @@ def cmd_definite(args) -> int:
     return 0
 
 
-LA_BINARY = {"sum": "sum", "prod": "product", "conv": "convolution"}
-LA_UNARY = {"scale": "scale", "rev": "reverse", "iter": "iterate"}
+LA_BINARY = {"conv": la_convolution, "prod": la_product, "sum": la_sum}
+LA_UNARY = {  # each on the operand and the parsed arguments
+    "iter": lambda a, args: la_iterate(a, args.tol),
+    "rev": lambda a, args: la_reverse(a),
+    "scale": lambda a, args: la_scale(args.scalar, a),
+}
 
 
 def cmd_la_op(args) -> int:
@@ -213,12 +221,11 @@ def cmd_la_op(args) -> int:
     if args.op in LA_BINARY:
         if args.b is None:
             raise CliError(f"la op {args.op} needs two operands")
-        b = _load(args.b, args.tol, LinearAutomaton)
-        out = la_combine(LA_BINARY[args.op], a, b)
+        out = LA_BINARY[args.op](a, _load(args.b, args.tol, LinearAutomaton))
     else:
         if args.op == "scale" and args.scalar is None:
             raise CliError("la op scale needs --scalar")
-        out = la_unary(LA_UNARY[args.op], a, a=args.scalar, tol=args.tol)
+        out = LA_UNARY[args.op](a, args)
     pio.save(out, args.output)
     print(f"dim: {out.dim}")
     return 0
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="la_command", required=True
     )
     p = la.add_parser("op")
-    p.add_argument("op", choices=sorted(LA_BINARY) + sorted(LA_UNARY))
+    p.add_argument("op", choices=[*LA_BINARY, *LA_UNARY])
     p.add_argument("a")
     p.add_argument("b", nargs="?", default=None)
     p.add_argument("--scalar", type=float, default=None)

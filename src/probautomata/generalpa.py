@@ -5,7 +5,9 @@ reactions and realization from shift-stable cones.  A general PA is the
 five-tuple (X, Y, S, P, initial) stored as one n-by-n matrix per
 input/output pair, so the probability of reading u while emitting v is
 initial . A[u,v] . ones.  The algorithms run in `kernel` on the stacked
-pair matrices with the all-ones final column.
+pair matrices with the all-ones final column.  `law_fault` is the law of a
+reaction table, which random and paired sequences obey too; a cone is valid
+iff its automaton is.  Each test accepts on value <= bound, so NaN fails it.
 """
 from __future__ import annotations
 
@@ -58,19 +60,20 @@ class GeneralPA(kernel.Automaton):
         """The (u, v) pair of a word of pair letters."""
         return tuple(zip(*super()._tag(word))) or ((), ())
 
+    @property
+    def _pairs(self) -> np.ndarray:
+        """The letter tensor as [x, y, s, s'], inputs by outputs."""
+        return self._letters.reshape(len(self.inputs), len(self.outputs), *self._letters.shape[1:])
+
     def input_matrix(self, x: str) -> np.ndarray:
         """Sum over outputs: the stochastic matrix of the input letter."""
-        return sum(self.matrix(x, y) for y in self.outputs)
+        return dict(zip(self.inputs, self._pairs.sum(axis=1)))[x]
 
     def validate(self, tol: Tolerances = DEFAULT) -> "GeneralPA":
-        n = self.n_states
         linalg.validate_distribution(self.initial, tol, "initial distribution")
-        for x in self.inputs:
-            for y in self.outputs:
-                if self.matrix(x, y).min() < -tol.rel:
-                    raise ValueError(f"negative entry in matrix for ({x!r},{y!r})")
-            total = sum((self.matrix(x, y) for y in self.outputs), np.zeros((n, n)))
-            linalg.validate_stochastic(total, tol, f"sum over outputs for input {x!r}")
+        for x, rows in zip(self.inputs, self._pairs.transpose(0, 2, 1, 3)):  # rows[s, y, s']
+            what = f"the row of pair matrices for input {x!r}"
+            linalg.validate_stochastic(rows.reshape(self.n_states, -1), tol, what)
         return self
 
 
@@ -126,13 +129,22 @@ def reaction_table(a: GeneralPA, depth: int, xi: np.ndarray | None = None) -> Re
                          kernel.prefix_values(row0, a._letters, a._final, depth))
 
 
+def law_fault(table: kernel.ShortlexTable, group: int, t: Tolerances):
+    """The first rule of a reaction's law the table breaks, as (rule, ranks), or None:
+    "root", the empty word's mass is not 1 within t.rel; "leak", below these parents
+    some run of `group` consecutive children (|Y|, one run per input letter) does not
+    sum to the parent within t.rel max(1, group); "negative", mass below -t.rel."""
+    parents = table.upto(table.depth - 1)
+    below = table.children().reshape(parents.size, len(table.alphabet) // group, group).sum(axis=2)
+    faults = {"root": ~(np.abs(table.array[:1] - 1.0) <= t.rel),
+              "leak": ~(np.abs(below - parents[:, None]) <= t.rel * max(1.0, group)).all(axis=1),
+              "negative": ~(table.array >= -t.rel)}
+    return next(((rule, np.flatnonzero(f)) for rule, f in faults.items() if f.any()), None)
+
+
 def is_probabilistic_response(f: ReactionTable, tol: Tolerances = DEFAULT) -> bool:
-    """Check the defining recurrences of a probabilistic reaction on the table."""
-    if abs(f.value((), ()) - 1.0) > tol.rel or np.any(f.values.array < -tol.rel):
-        return False
-    per_input = f.values.children().reshape(-1, len(f.inputs), len(f.outputs)).sum(axis=2)
-    slack = tol.rel * max(1.0, len(f.outputs))
-    return not np.any(np.abs(per_input - f.values.upto(f.depth - 1)[:, None]) > slack)
+    """Check the defining recurrences of a probabilistic reaction on the table (`law_fault`)."""
+    return law_fault(f.values, len(f.outputs), tol) is None
 
 
 def residual(f: ReactionTable, u: Word, v: Word, tol: Tolerances = DEFAULT) -> ReactionTable:
@@ -250,28 +262,14 @@ class ConeSpec:
         object.__setattr__(self, "shifts", kernel.freeze_map(self.shifts))
 
     def validate(self, tol: Tolerances = DEFAULT) -> "ConeSpec":
-        n = len(self.members)
-        linalg.validate_distribution(np.asarray(self.initial), tol, "cone coefficients")
-        inputs = self.members[0].inputs
-        outputs = self.members[0].outputs
-        for x in inputs:
-            per_row = np.zeros(n)
-            for y in outputs:
-                m = self.shifts.get((x, y))
-                if m is None or m.shape != (n, n):
-                    raise ValueError(f"missing or misshapen shift matrix for ({x!r},{y!r})")
-                if m.min() < -tol.rel:
-                    raise ValueError(f"negative shift coefficient for ({x!r},{y!r})")
-                per_row = per_row + m.sum(axis=1)
-            if np.max(np.abs(per_row - 1.0)) > tol.rel * max(1.0, len(outputs)):
-                raise ValueError(f"shift rows for input {x!r} do not sum to 1")
+        """Valid iff its automaton is: `pa_from_cone` validates it."""
+        pa_from_cone(self, tol)
         return self
 
 
 def pa_from_cone(cone: ConeSpec, tol: Tolerances = DEFAULT) -> GeneralPA:
-    """Automaton with one state per cone member and the shift matrices as behavior."""
-    cone.validate(tol)
-    inputs = cone.members[0].inputs
-    outputs = cone.members[0].outputs
-    trans = {(x, y): np.array(cone.shifts[(x, y)]) for x in inputs for y in outputs}
-    return GeneralPA(inputs, outputs, trans, np.asarray(cone.initial)).validate(tol)
+    """The validated automaton of the cone: members as states, shifts as pair matrices."""
+    if not cone.members or len(cone.initial) != len(cone.members):
+        raise ValueError("a cone needs one or more members and one coefficient for each")
+    first = cone.members[0]
+    return GeneralPA(first.inputs, first.outputs, cone.shifts, cone.initial).validate(tol)

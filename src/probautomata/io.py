@@ -6,11 +6,14 @@ space-separated symbol strings (the empty string is the empty word).  A
 table is saved with every word up to its depth; a loaded table may omit
 words, which read 0.0.
 Loading re-validates module invariants and reports the JSON path of the
-offending field.
+offending field.  Every numeric field takes finite numbers only: a boolean,
+or the NaN and Infinity literals that Python's json reads, is rejected.
 """
 from __future__ import annotations
 
 import json
+import sys
+from itertools import product
 from typing import Any
 
 import numpy as np
@@ -105,15 +108,28 @@ def _symbols(value: Any, path: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _array(value: Any, path: str, ndim: int) -> np.ndarray:
-    """A vector (ndim 1) or a matrix (ndim 2) of numbers."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(path, f"not numeric: {exc}") from None
-    if arr.ndim != ndim:
-        raise SchemaError(path, "expected an array of " + "arrays of " * (ndim - 1) + "numbers")
-    return arr
+def _number(value: Any, path: str) -> float:
+    """A finite float: not a bool, a NaN or Infinity literal, or an integer past the float range."""
+    if not abs(_typed(value, (int, float), path)) <= sys.float_info.max:
+        raise SchemaError(path, "expected a finite number")
+    return float(value)
+
+
+def _vector(value: Any, path: str) -> np.ndarray:
+    return np.array([_number(q, f"{path}[{j}]") for j, q in enumerate(_typed(value, list, path))])
+
+
+def _matrix(value: Any, path: str) -> np.ndarray:
+    rows = [_vector(row, f"{path}[{i}]") for i, row in enumerate(_typed(value, list, path))]
+    if len({row.size for row in rows}) > 1:
+        raise SchemaError(path, "expected rows of equal length")
+    return np.array(rows, ndmin=2)
+
+
+def _transitions(doc: dict, path: str, names, read) -> list:
+    """`read` of the entry of each name in the object doc["trans"], in the order of names."""
+    raw = _field(doc, "trans", path, dict)
+    return [read(_require(raw, name, f"{path}.trans"), f"{path}.trans.{name}") for name in names]
 
 
 def to_document(obj) -> dict:
@@ -175,27 +191,15 @@ def from_document(doc: Any, tol: Tolerances = DEFAULT, path: str = "$"):
         if kind == "general_pa":
             inputs = _symbols(_require(doc, "inputs", path), f"{path}.inputs")
             outputs = _symbols(_require(doc, "outputs", path), f"{path}.outputs")
-            raw = _field(doc, "trans", path, dict)
-            trans = {}
-            for x in inputs:
-                for y in outputs:
-                    key = f"{x}|{y}"
-                    if key not in raw:
-                        raise SchemaError(f"{path}.trans.{key}", "missing matrix")
-                    trans[(x, y)] = _array(raw[key], f"{path}.trans.{key}", 2)
-            return GeneralPA(
-                inputs, outputs, trans, _array(_require(doc, "initial", path), f"{path}.initial", 1)
-            ).validate(tol)
+            keys = list(product(inputs, outputs))
+            trans = _transitions(doc, path, [f"{x}|{y}" for x, y in keys], _matrix)
+            initial = _vector(_require(doc, "initial", path), f"{path}.initial")
+            return GeneralPA(inputs, outputs, dict(zip(keys, trans)), initial).validate(tol)
         if kind in ("moore_pa", "linear_automaton"):
             inputs = _symbols(_require(doc, "inputs", path), f"{path}.inputs")
-            raw = _field(doc, "trans", path, dict)
-            trans = {}
-            for x in inputs:
-                if x not in raw:
-                    raise SchemaError(f"{path}.trans.{x}", "missing matrix")
-                trans[x] = _array(raw[x], f"{path}.trans.{x}", 2)
-            initial = _array(_require(doc, "initial", path), f"{path}.initial", 1)
-            lam = _array(_require(doc, "lambda", path), f"{path}.lambda", 1)
+            trans = dict(zip(inputs, _transitions(doc, path, inputs, _matrix)))
+            initial = _vector(_require(doc, "initial", path), f"{path}.initial")
+            lam = _vector(_require(doc, "lambda", path), f"{path}.lambda")
             if kind == "moore_pa":
                 return MoorePA(inputs, trans, initial, lam).validate(tol)
             return LinearAutomaton(inputs, trans, initial, lam).validate()
@@ -203,18 +207,13 @@ def from_document(doc: Any, tol: Tolerances = DEFAULT, path: str = "$"):
             signals = _symbols(_require(doc, "signals", path), f"{path}.signals")
             return MarkovChain(
                 signals,
-                _array(_require(doc, "matrix", path), f"{path}.matrix", 2),
+                _matrix(_require(doc, "matrix", path), f"{path}.matrix"),
                 tuple(_field(doc, "labels", path, list)),
-                _array(_require(doc, "initial", path), f"{path}.initial", 1),
+                _vector(_require(doc, "initial", path), f"{path}.initial"),
             ).validate(tol)
         if kind == "dfa":
             alphabet = _symbols(_require(doc, "alphabet", path), f"{path}.alphabet")
-            raw = _field(doc, "trans", path, dict)
-            trans = {}
-            for x in alphabet:
-                if x not in raw:
-                    raise SchemaError(f"{path}.trans.{x}", "missing transition row")
-                trans[x] = _integers(raw[x], f"{path}.trans.{x}")
+            trans = dict(zip(alphabet, _transitions(doc, path, alphabet, _integers)))
             return Dfa(
                 alphabet=alphabet,
                 n_states=_field(doc, "states", path, int),
@@ -233,7 +232,7 @@ def from_document(doc: Any, tol: Tolerances = DEFAULT, path: str = "$"):
                 raise SchemaError(f"{path}.table.{key!r}", "symbol outside the alphabet")
             if len(word) > depth:
                 raise SchemaError(f"{path}.table.{key!r}", "word longer than the depth")
-            table[word] = float(_typed(value, (int, float), f"{path}.table.{key!r}"))
+            table[word] = _number(value, f"{path}.table.{key!r}")
         if kind == "string_function":
             return StringFunctionTable(alphabet, depth, table)
         return RandomSequence(alphabet, depth, table).validate(tol)

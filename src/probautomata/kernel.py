@@ -133,6 +133,14 @@ class LetterAutomaton(Automaton):
             raise KeyError(f"unknown input symbol {x!r}")
         return m
 
+    def validate(self):
+        """One output per state, every entry finite: LinearAutomaton's rule, MoorePA's first."""
+        if self.lam.shape != (self.n_states,):
+            raise ValueError("output column has wrong length")
+        if not all(np.isfinite(v).all() for v in (self.initial, self.lam, self._letters)):
+            raise ValueError("non-finite entries")
+        return self
+
     def word_matrix(self, u: Word) -> np.ndarray:
         return word_product(np.eye(self.initial.size), map(self.matrix, u))
 
@@ -213,14 +221,12 @@ def find_convex_state(a: Automaton, t: Tolerances):
 def remove_convex_state(a: Automaton, s: int, coeffs, t: Tolerances) -> Automaton:
     """Fold state s into the mixture coeffs of the others, after checking it.
 
-    The certificate must reproduce basis row s within 100 tol.rel relative to
-    the basis; otherwise ValueError.
+    ValueError unless `linalg.is_convex_certificate` accepts coeffs for
+    basis row s, the rule the search applies.
     """
     folded = fold(a._letters, a.initial, a._final, s, coeffs)  # checks the length
-    basis, _ = basis_matrix(a, t)
-    residual = basis[s] - np.asarray(coeffs, dtype=float) @ np.delete(basis, s, axis=0)
-    if linalg.norm_abs(residual) > t.rel * 100.0 * max(1.0, linalg.norm_abs(basis)):
-        raise ValueError("certificate does not reproduce the basis row")
+    if not linalg.is_convex_certificate(basis_matrix(a, t)[0], s, coeffs, t):
+        raise ValueError("certificate is not a convex combination giving the basis row")
     return a._like(*folded)
 
 
@@ -239,8 +245,7 @@ def reduce_convex(a: Automaton, t: Tolerances) -> Automaton:
     point's O(n) bases and O(n^2) certificates.
 
     Each certificate is checked once, by `convex_combination_certificate`
-    against the rows held here: its residual bound, 10 tol.rel relative to
-    the basis, is stricter than the 100 tol.rel of `remove_convex_state`.
+    against the rows held here, with the rule `remove_convex_state` applies.
     """
     a = reachable_part(a, t)
     letters, initial, final = a._letters, a.initial, a._final

@@ -109,8 +109,7 @@ def general_language_pa(a: GeneralPA, y: str) -> MoorePA:
     """
     if y not in a.outputs:
         raise KeyError(f"unknown output symbol {y!r}")
-    n, j = a.n_states, a.outputs.index(y)
-    pairs = a._letters.reshape(len(a.inputs), len(a.outputs), n, n)
+    n, j, pairs = a.n_states, a.outputs.index(y), a._pairs
     rest = np.delete(pairs, j, axis=1).sum(axis=1)
     letters = np.tile(np.concatenate([rest, pairs[:, j]], axis=2), (1, 2, 1))  # [[rest, hit]] * 2
     init = np.concatenate([a.initial, np.zeros(n)])

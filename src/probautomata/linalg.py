@@ -1,11 +1,11 @@
 """Dense real linear algebra used by every automaton module.
 
-Norms, Kronecker products, boolean matrix patterns, incremental subspace
+Norms, distribution checks, boolean matrix patterns, incremental subspace
 tracking (classical Gram-Schmidt applied twice over a basis array), a
 small dense two-phase simplex solver with Bland's rule, each pivot one
 rank-1 array update, and convex-combination certificates without it: a
 box test prunes, a Lawson-Hanson nonnegative least-squares fit started at
-the minimum-norm fit finds the coefficients, a residual check accepts them.
+the minimum-norm fit finds the coefficients, `is_convex_certificate` accepts them.
 All matrices are plain numpy float64 arrays.
 """
 from __future__ import annotations
@@ -42,15 +42,10 @@ def norm_spread(a) -> float:
     return float(np.max(arr.max(axis=0) - arr.min(axis=0)))
 
 
-def kron(a, b) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def is_distribution(v, tol: Tolerances = DEFAULT) -> bool:
+    """A one-row stochastic matrix."""
     arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
-        return False
-    return bool(arr.min() >= -tol.rel and abs(arr.sum() - 1.0) <= tol.rel)
+    return arr.ndim == 1 and is_stochastic(arr[None], tol)
 
 
 def validate_distribution(v, tol: Tolerances = DEFAULT, what: str = "distribution") -> np.ndarray:
@@ -61,12 +56,11 @@ def validate_distribution(v, tol: Tolerances = DEFAULT, what: str = "distributio
 
 
 def is_stochastic(m, tol: Tolerances = DEFAULT) -> bool:
+    """Finite and nonempty, no entry below -tol.rel, every row summing to 1 within tol.rel."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.size == 0 or not np.all(np.isfinite(arr)):
         return False
-    if arr.min() < -tol.rel:
-        return False
-    return bool(np.max(np.abs(arr.sum(axis=1) - 1.0)) <= tol.rel)
+    return bool(arr.min() >= -tol.rel and np.max(np.abs(arr.sum(axis=1) - 1.0)) <= tol.rel)
 
 
 def validate_stochastic(m, tol: Tolerances = DEFAULT, what: str = "matrix") -> np.ndarray:
@@ -308,9 +302,8 @@ def convex_combination_certificate(
     that is already positive it is the answer, the minimum-norm mixture
     (one of many when another removable row is among the others), and
     otherwise only its negative coefficients are walked back.  The
-    coefficients are accepted iff they sum to 1 and reproduce rows[s] to
-    10 tol.rel relative to the rows; the returned vector is indexed over the
-    rows with s removed.
+    coefficients are returned iff `is_convex_certificate` accepts them; the
+    vector is indexed over the rows with s removed.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     n = rows.shape[0]
@@ -325,9 +318,19 @@ def convex_combination_certificate(
     a = np.vstack([w.T, np.full(n - 1, magnitude)])
     b = np.append(target, magnitude)
     coeffs = _nnls(a, b)
-    if abs(coeffs.sum() - 1.0) > tol.rel * 10.0:
-        return None
-    return coeffs if norm_abs(target - coeffs @ w) <= scale else None
+    return coeffs if is_convex_certificate(rows, s, coeffs, tol) else None
+
+
+def is_convex_certificate(rows, s: int, coeffs, tol: Tolerances = DEFAULT) -> bool:
+    """True iff coeffs (over the rows without s) are nonnegative within tol.rel,
+    sum to 1 within 10 tol.rel and give rows[s] within 10 tol.rel max(1, |rows|)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    w = np.delete(rows, s, axis=0)
+    return bool(
+        coeffs.min(initial=0.0) >= -tol.rel
+        and abs(coeffs.sum() - 1.0) <= tol.rel * 10.0
+        and norm_abs(rows[s] - coeffs @ w) <= tol.rel * max(1.0, norm_abs(rows)) * 10.0
+    )
 
 
 def _nnls(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None) -> np.ndarray:

@@ -33,17 +33,6 @@ class LinearAutomaton(kernel.LetterAutomaton):
 
     dim = kernel.Automaton.n_states
 
-    def validate(self) -> "LinearAutomaton":
-        n = self.dim
-        if not np.all(np.isfinite(self.initial)) or not np.all(np.isfinite(self.lam)):
-            raise ValueError("non-finite entries")
-        if self.lam.shape != (n,):
-            raise ValueError("output column has wrong length")
-        for x in self.inputs:
-            if not np.all(np.isfinite(self.matrix(x))):
-                raise ValueError(f"non-finite entries in matrix for {x!r}")
-        return self
-
 
 la_reaction = avg_reaction  # xi . L^u . lam, the same for every LetterAutomaton
 
@@ -150,13 +139,6 @@ def la_convolution(l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:
     )
 
 
-def la_combine(op: str, l1: LinearAutomaton, l2: LinearAutomaton) -> LinearAutomaton:
-    table = {"sum": la_sum, "product": la_product, "convolution": la_convolution}
-    if op not in table:
-        raise ValueError(f"unknown binary operation {op!r}")
-    return table[op](l1, l2)
-
-
 def la_scale(a: float, l: LinearAutomaton) -> LinearAutomaton:
     return l._like(l._letters, l.initial, a * l.lam)
 
@@ -171,19 +153,6 @@ def la_iterate(l: LinearAutomaton, tol: Tolerances = DEFAULT) -> LinearAutomaton
         raise ValueError("iteration requires f_L(eps) = 0")
     bump = np.eye(l.dim) + np.outer(l.lam, l.initial)
     return l._like(l._letters @ bump, l.initial, l.lam)
-
-
-def la_unary(op: str, l: LinearAutomaton, a: float | None = None,
-             tol: Tolerances = DEFAULT) -> LinearAutomaton:
-    if op == "scale":
-        if a is None:
-            raise ValueError("scale needs a coefficient")
-        return la_scale(a, l)
-    if op == "reverse":
-        return la_reverse(l)
-    if op == "iterate":
-        return la_iterate(l, tol)
-    raise ValueError(f"unknown unary operation {op!r}")
 
 
 def la_zero(inputs, dim: int = 1) -> LinearAutomaton:
@@ -288,7 +257,7 @@ def hankel_basis(f, rank_bound: int, tol: Tolerances = DEFAULT) -> HankelBasis:
     max_tag = min(rank_bound - 1, max(0, (depth - 1) // 2))
     block = hankel_block(f, max_tag, max_tag)
     if not block.any():
-        raise ValueError("identically zero function has no Hankel basis")
+        raise ValueError(f"the Hankel block over the tags of length <= {max_tag} is zero")
     ranks = range(len(block))  # the ranks of the tags of length <= max_tag
     row_basis = _greedy_tags(block, ranks, tol)
     col_basis = _greedy_tags(block.T, ranks, tol)

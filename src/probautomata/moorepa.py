@@ -27,10 +27,8 @@ class MoorePA(kernel.LetterAutomaton):
     """
 
     def validate(self, tol: Tolerances = DEFAULT) -> "MoorePA":
-        n = self.n_states
+        super().validate()
         linalg.validate_distribution(self.initial, tol, "initial distribution")
-        if self.lam.shape != (n,) or not np.all(np.isfinite(self.lam)):
-            raise ValueError("output column has wrong shape or non-finite entries")
         for x in self.inputs:
             linalg.validate_stochastic(self.matrix(x), tol, f"matrix for input {x!r}")
         return self
@@ -103,7 +101,7 @@ def classify(a: GeneralPA, tol: Tolerances = DEFAULT) -> Classification:
     output classifies as MEALY.
     """
     slack = tol.rel * 100.0
-    pairs = a._letters.reshape(len(a.inputs), len(a.outputs), a.n_states, a.n_states)
+    pairs = a._pairs
     delta = pairs.sum(axis=1)   # [x, s, s']: the input matrices
     lam = pairs.sum(axis=3)     # [x, y, s]: the output law
     if linalg.norm_abs(delta[:, None] * lam[..., None] - pairs) > slack:

@@ -3,7 +3,9 @@
 A random sequence is a consistent assignment of probabilities to finite
 prefixes; a paired sequence couples input and output prefixes of equal
 length.  Every table records the depth it is valid to and operations never
-fabricate values beyond it.
+fabricate values beyond it.  A random sequence is a reaction over the
+one-letter input, and a paired sequence one over the pair letters, so both
+obey `generalpa.law_fault` with every letter in one group.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from . import kernel, linalg
 from .dfa import Word
-from .generalpa import GeneralPA, ReactionTable, reaction_table, residual_automaton
+from .generalpa import GeneralPA, ReactionTable, law_fault, reaction_table, residual_automaton
 from .tolerances import DEFAULT, Tolerances
 
 UNIT_SYMBOL = "e"
@@ -94,20 +96,13 @@ def marginals(eta: PairedSequence) -> tuple[RandomSequence, RandomSequence]:
 
 
 def _check_mass(table: kernel.ShortlexTable, t: Tolerances, empty: str, name) -> None:
-    """Mass 1 at the empty word, conserved below every word and nowhere negative.
-
-    `name` names the first of an array of ranks in the error message.
-    """
-    if abs(table.array[0] - 1.0) > t.rel:
-        raise ValueError(f"mass at the empty {empty} is not 1")
-    slack = t.rel * max(1.0, len(table.alphabet))
-    below = table.children().sum(axis=1)
-    leaks = np.flatnonzero(np.abs(below - table.upto(table.depth - 1)) > slack)
-    if leaks.size:
-        raise ValueError(f"mass is not conserved below {name(leaks)}")
-    negative = np.flatnonzero(table.array < -t.rel)
-    if negative.size:
-        raise ValueError(f"negative mass at {name(negative)}")
+    """Raise unless `law_fault` finds none, every letter in one group; `name` names ranks."""
+    fault = law_fault(table, len(table.alphabet), t)
+    if fault is not None:
+        rule, ranks = fault
+        raise ValueError({"root": f"mass at the empty {empty} is not 1",
+                          "leak": f"mass is not conserved below {name(ranks)}",
+                          "negative": f"negative mass at {name(ranks)}"}[rule])
 
 
 def _sides(f: ReactionTable):

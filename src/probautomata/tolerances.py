@@ -22,14 +22,14 @@ class Tolerances:
             as a constant:
             - slack for affine constraints (row sums, total mass), times the
               number of outputs or letters summed, and times 100 in `classify`;
-            - how far below 0 a probability may drift;
+            - how far below 0 a probability or a mixing coefficient may drift;
             - rank and equality decisions: a residual against its vector's
               length, the condition of a Hankel core against 1 / rel, and
               |(xi1 - xi2) . c| on a Krylov column c against
               10 rel (|xi1| + |xi2|) . |c|;
             - the simplex pivots, as an absolute threshold;
-            - a convex certificate's residual, 10 rel relative to the rows
-              (100 rel when `remove_convex_state` re-checks one).
+            - a convex certificate, in search and removal alike: its sum
+              within 10 rel of 1, its row within 10 rel relative to the rows.
     """
 
     zero: float = 1e-12

@@ -26,12 +26,10 @@ from probautomata import (
     e_f_dimension,
     extract_dfa,
     io as pio,
-    la_combine,
     la_reaction,
     la_table,
     la_to_pa_affine,
     la_language_pa,
-    la_unary,
     member,
     reaction,
     reaction_table,
@@ -39,7 +37,15 @@ from probautomata import (
     reduce_avg,
 )
 from probautomata.cli import main
-from probautomata.linauto import LinearAutomaton
+from probautomata.linauto import (
+    LinearAutomaton,
+    la_convolution,
+    la_iterate,
+    la_product,
+    la_reverse,
+    la_scale,
+    la_sum,
+)
 from probautomata.moorepa import find_convex_state_avg
 
 from gen import (
@@ -175,14 +181,14 @@ def test_criterion_06_la_homomorphisms():
             f1 = {u: la_reaction(l1, u) for u in words}
             f2 = {u: la_reaction(l2, u) for u in words}
             checks = {
-                "sum": (la_combine("sum", l1, l2), lambda u: f1[u] + f2[u]),
-                "product": (la_combine("product", l1, l2), lambda u: f1[u] * f2[u]),
+                "sum": (la_sum(l1, l2), lambda u: f1[u] + f2[u]),
+                "product": (la_product(l1, l2), lambda u: f1[u] * f2[u]),
             }
             conv_oracle = table_convolve(f1, f2, words)
-            checks["conv"] = (la_combine("convolution", l1, l2), conv_oracle.__getitem__)
-            checks["scale"] = (la_unary("scale", l1, a=2.5), lambda u: 2.5 * f1[u])
+            checks["conv"] = (la_convolution(l1, l2), conv_oracle.__getitem__)
+            checks["scale"] = (la_scale(2.5, l1), lambda u: 2.5 * f1[u])
             checks["reverse"] = (
-                la_unary("reverse", l1),
+                la_reverse(l1),
                 lambda u: f1[tuple(reversed(u))],
             )
             xi = l1.initial
@@ -191,7 +197,7 @@ def test_criterion_06_la_homomorphisms():
             l0 = LinearAutomaton(l1.inputs, dict(l1.trans), l1.initial, lam0)
             f0 = {u: la_reaction(l0, u) for u in words}
             iter_oracle = conv_power_sum(f0, words, 4)
-            checks["iterate"] = (la_unary("iterate", l0), iter_oracle.__getitem__)
+            checks["iterate"] = (la_iterate(l0), iter_oracle.__getitem__)
             for automaton, oracle in checks.values():
                 for u in words:
                     assert abs(la_reaction(automaton, u) - oracle(u)) <= 1e-9

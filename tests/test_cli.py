@@ -96,6 +96,9 @@ TABLE_DOC = {"schema": 1, "kind": "string_function", "alphabet": ["a"], "depth":
              "table": {"": 1.0, "a": 0.5}}
 CHAIN_DOC = {"schema": 1, "kind": "markov_chain", "signals": ["a"], "matrix": [[1.0]],
              "labels": ["a"], "initial": [1.0]}
+MOORE_DOC = {"schema": 1, "kind": "moore_pa", "inputs": ["a"],
+             "trans": {"a": [[1.0, 0.0], [0.0, 1.0]]}, "initial": [1.0, 0.0], "lambda": [0.0, 1.0]}
+NAN = float("nan")
 
 
 @pytest.mark.parametrize("doc, path", [
@@ -111,9 +114,18 @@ CHAIN_DOC = {"schema": 1, "kind": "markov_chain", "signals": ["a"], "matrix": [[
     ({**DFA_DOC, "trans": {"a": [0.9, 1.2]}}, "$.trans.a[0]"),
     ({**DFA_DOC, "trans": "a"}, "$.trans"),
     ({**CHAIN_DOC, "labels": 1}, "$.labels"),
+    ({**MOORE_DOC, "trans": {"a": [[True, False], [False, True]]}}, "$.trans.a[0][0]"),
+    ({**MOORE_DOC, "initial": [True, False]}, "$.initial[0]"),
+    ({**MOORE_DOC, "lambda": [0.0, float("inf")]}, "$.lambda[1]"),
+    ({**MOORE_DOC, "initial": [10**400, 0]}, "$.initial[0]"),
+    ({**MOORE_DOC, "trans": {"a": [[1.0, 0.0], [0.0]]}}, "$.trans.a"),
+    ({**CHAIN_DOC, "matrix": [[NAN]]}, "$.matrix[0][0]"),
+    ({**TABLE_DOC, "table": {"": 1.0, "a": NAN}}, "$.table.'a'"),
+    ({**TABLE_DOC, "kind": "random_sequence", "table": {"": NAN, "a": NAN}}, "$.table.''"),
 ], ids=["depth-array", "depth-string", "table-value-array", "table-array", "states-null",
         "start-bool", "accepting-int", "accepting-float", "row-int", "row-floats", "trans-string",
-        "labels-int"])
+        "labels-int", "matrix-bools", "initial-bools", "lambda-inf", "initial-overflow",
+        "ragged-matrix", "chain-nan", "table-nan", "sequence-nan"])
 def test_wrongly_typed_fields_exit_2_with_their_path(tmp_path, capsys, doc, path):
     # exit 1 is a verdict for `equiv` and `lang member`, so a wrong type must end in exit 2
     bad = tmp_path / "bad.json"

@@ -193,6 +193,23 @@ def test_remove_convex_state_rejects_bad_certificate(det_two_state):
         remove_convex_state(a, 2, np.array([1.0, 0.0]))
 
 
+def test_remove_convex_state_rejects_an_affine_certificate():
+    # states 0-2 emit y with probability p = (0, 1/2, 1), else z, and move to state 3,
+    # which emits z for ever; every reaction is affine in p, so basis row 2 is
+    # -(row 0) + 2 (row 1): an affine combination that is not a convex one
+    p = np.array([0.0, 0.5, 1.0, 0.0])
+    to_sink = np.zeros((4, 4))
+    to_sink[:3, 3] = 1.0
+    a = GeneralPA(("x",), ("y", "z"),
+                  {("x", "y"): p[:, None] * to_sink,
+                   ("x", "z"): (1.0 - p)[:, None] * to_sink + np.diag([0.0, 0.0, 0.0, 1.0])},
+                  np.array([0.0, 0.0, 1.0, 0.0])).validate()
+    basis, _ = basis_matrix(a)
+    assert np.array_equal(basis[2], 2.0 * basis[1] - basis[0])
+    with pytest.raises(ValueError, match="certificate"):
+        remove_convex_state(a, 2, np.array([-1.0, 2.0, 0.0]))
+
+
 def test_reduce_fixed_point(rabin, det_two_state):
     assert reduce(rabin).n_states == 2  # already minimal
     a = convexified(det_two_state, [0.25, 0.75], [0.2, 0.2, 0.6])
@@ -317,10 +334,42 @@ def test_pa_from_cone_rejects_bad_spec(one_state):
         pa_from_cone(cone)
 
 
+def test_a_nan_cone_shift_is_rejected(one_state):
+    cone = ConeSpec(
+        members=(reaction_table(one_state, 3),),
+        initial=(1.0,),
+        shifts={("x", "y"): np.array([[float("nan")]]), ("x", "z"): np.array([[0.4]])},
+    )
+    with pytest.raises(ValueError, match="pair matrices for input 'x' is not row-stochastic"):
+        cone.validate()
+    with pytest.raises(ValueError, match="pair matrices for input 'x' is not row-stochastic"):
+        pa_from_cone(cone)
+
+
+def test_a_cone_validates_as_its_automaton(one_state):
+    f = reaction_table(one_state, 3)
+    shifts = {("x", "y"): np.array([[0.6]]), ("x", "z"): np.array([[0.4]])}
+    assert ConeSpec((f,), (1.0,), shifts).validate()
+    with pytest.raises(KeyError, match="no matrix for"):  # a missing shift, as in GeneralPA
+        ConeSpec((f,), (1.0,), {("x", "y"): np.array([[1.0]])}).validate()
+    with pytest.raises(ValueError, match="one coefficient for each"):
+        ConeSpec((f,), (0.5, 0.5), {k: np.full((2, 2), m[0, 0] / 2) for k, m in shifts.items()}).validate()
+    with pytest.raises(ValueError, match="initial distribution"):
+        ConeSpec((f,), (0.9,), shifts).validate()
+
+
 def test_is_probabilistic_response(rabin):
     assert is_probabilistic_response(reaction_table(rabin, 3))
     bad = ReactionTable(("x",), ("y",), 1, {((), ()): 0.9, (("x",), ("y",)): 0.9})
     assert not is_probabilistic_response(bad)
+
+
+@pytest.mark.parametrize("values", [
+    {((), ()): float("nan"), (("x",), ("y",)): float("nan"), (("x",), ("z",)): float("nan")},
+    {((), ()): 1.0, (("x",), ("y",)): float("nan"), (("x",), ("z",)): 0.5},
+], ids=["all", "child"])
+def test_nan_reaction_table_is_not_probabilistic(values):
+    assert not is_probabilistic_response(ReactionTable(("x",), ("y", "z"), 1, values))
 
 
 @settings(max_examples=20, deadline=None)

@@ -13,8 +13,8 @@ from probautomata.linalg import (
     bool_mul,
     bool_pattern,
     convex_combination_certificate,
+    is_convex_certificate,
     is_primitive,
-    kron,
     lp_solve,
     norm_abs,
     norm_spread,
@@ -42,13 +42,6 @@ def test_norm_spread():
     assert norm_spread([0.7, 0.7, 0.7]) == 0.0
     assert norm_spread([0.2, 0.8]) == pytest.approx(0.6)
     assert norm_spread(np.eye(2)) == 1.0
-
-
-def test_kron():
-    assert np.array_equal(kron([[1, 2]], [[0, 1]]), [[0, 1, 0, 2]])
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    b = np.array([[1.5, -2.0], [0.0, 3.0]])
-    assert np.array_equal(kron([[2]], b), 2 * b)
 
 
 def test_bool_pattern_basics():
@@ -341,3 +334,15 @@ def test_stochastic_perturbation_bounds(seed, n):
     b = rng.uniform(-2.0, 2.0, (n, n))
     assert norm_abs(a @ b - b) <= norm_spread(b) + 1e-12
     assert norm_abs(p @ b - q @ b) <= norm_spread(b) + 1e-12
+
+
+@pytest.mark.parametrize("coeffs, ok", [
+    ([0.5, 0.5], True),
+    ([1.0, 0.0], False),                # sums to 1 but gives another row
+    ([-1.0, 2.0], False),               # affine: reproduces the row, not convex
+    ([0.5, 0.5 + 1e-7], False),         # 1e-7 off the mixture
+    ([float("nan"), 0.5], False),
+], ids=["convex", "wrong-row", "affine", "sum", "nan"])
+def test_is_convex_certificate(coeffs, ok):
+    rows = np.array([[0.0, 1.0], [1.0, 3.0], [0.5, 2.0]])
+    assert is_convex_certificate(rows, 2, np.array(coeffs)) is ok

@@ -15,21 +15,28 @@ from probautomata import (
     eval_expr,
     hankel_basis,
     hankel_block,
-    la_combine,
     la_equivalent,
     la_language_pa,
     la_reaction,
     la_table,
     la_to_pa_affine,
     la_to_rational_expr,
-    la_unary,
     laf_from_level_dfas,
     member,
     reach_degree,
     realize,
     to_sexpr,
 )
-from probautomata.linauto import la_chi_symbol, la_zero
+from probautomata.linauto import (
+    la_chi_symbol,
+    la_convolution,
+    la_iterate,
+    la_product,
+    la_reverse,
+    la_scale,
+    la_sum,
+    la_zero,
+)
 
 from gen import random_la
 from oracles import conv_power_sum, enumerate_words, table_convolve
@@ -70,7 +77,7 @@ def test_la_reaction_chi_symbol():
 def test_la_convolution_of_indicators():
     lx = la_chi_symbol(("x", "y"), "x")
     ly = la_chi_symbol(("x", "y"), "y")
-    conv = la_combine("convolution", lx, ly)
+    conv = la_convolution(lx, ly)
     fx = {u: la_reaction(lx, u) for u in enumerate_words(("x", "y"), 3)}
     fy = {u: la_reaction(ly, u) for u in enumerate_words(("x", "y"), 3)}
     oracle = table_convolve(fx, fy, enumerate_words(("x", "y"), 3))
@@ -83,19 +90,19 @@ def test_la_convolution_of_indicators():
 
 def test_la_sum_with_zero():
     l = geometric(0.5)
-    summed = la_combine("sum", l, la_zero(("x",)))
+    summed = la_sum(l, la_zero(("x",)))
     for u in enumerate_words(("x",), 4):
         assert la_reaction(summed, u) == pytest.approx(la_reaction(l, u), abs=1e-12)
 
 
 def test_la_product_of_geometrics():
-    prod = la_combine("product", geometric(0.5), geometric(1.0 / 3.0))
+    prod = la_product(geometric(0.5), geometric(1.0 / 3.0))
     for k in range(5):
         assert la_reaction(prod, ("x",) * k) == pytest.approx(6.0**-k, abs=1e-12)
 
 
 def test_la_iterate_indicator():
-    it = la_unary("iterate", la_chi_symbol(("x",), "x"))
+    it = la_iterate(la_chi_symbol(("x",), "x"))
     assert la_reaction(it, ()) == pytest.approx(0.0, abs=1e-12)
     for k in range(1, 5):
         assert la_reaction(it, ("x",) * k) == pytest.approx(1.0, abs=1e-12)
@@ -103,20 +110,20 @@ def test_la_iterate_indicator():
 
 def test_la_iterate_requires_zero_at_eps():
     with pytest.raises(ValueError):
-        la_unary("iterate", geometric(0.5))
+        la_iterate(geometric(0.5))
 
 
 def test_la_reverse_involution():
     rng = np.random.default_rng(2)
     l = random_la(rng, 3, 2)
-    back = la_unary("reverse", la_unary("reverse", l))
+    back = la_reverse(la_reverse(l))
     for u in enumerate_words(l.inputs, 3):
         assert la_reaction(back, u) == pytest.approx(la_reaction(l, u), abs=1e-12)
 
 
 def test_la_scale():
     l = geometric(0.5)
-    scaled = la_unary("scale", l, a=3.0)
+    scaled = la_scale(3.0, l)
     for u in enumerate_words(("x",), 4):
         assert la_reaction(scaled, u) == pytest.approx(3.0 * la_reaction(l, u), abs=1e-12)
 
@@ -139,15 +146,15 @@ def test_homomorphism_suite(seed):
     words = enumerate_words(l1.inputs, 4)
     f1 = {u: la_reaction(l1, u) for u in words}
     f2 = {u: la_reaction(l2, u) for u in words}
-    summed = la_combine("sum", l1, l2)
-    prod = la_combine("product", l1, l2)
-    conv = la_combine("convolution", l1, l2)
+    summed = la_sum(l1, l2)
+    prod = la_product(l1, l2)
+    conv = la_convolution(l1, l2)
     conv_oracle = table_convolve(f1, f2, words)
-    scaled = la_unary("scale", l1, a=-1.7)
-    rev = la_unary("reverse", l1)
+    scaled = la_scale(-1.7, l1)
+    rev = la_reverse(l1)
     l0 = _zero_eps(l1)
     f0 = {u: la_reaction(l0, u) for u in words}
-    iterated = la_unary("iterate", l0)
+    iterated = la_iterate(l0)
     iter_oracle = conv_power_sum({u: v for u, v in f0.items()}, words, 4)
     for u in words:
         assert la_reaction(summed, u) == pytest.approx(f1[u] + f2[u], abs=1e-9)
@@ -282,6 +289,20 @@ def test_hankel_rank_of_a_table_scaled_by_2_to_the_minus_30_is_unchanged():
     assert e_f_dimension(scaled) == e_f_dimension(table) == 3
     assert hankel_basis(scaled, rank_bound=8).rank == hankel_basis(table, rank_bound=8).rank
     assert realize(scaled).dim == realize(table).dim == 3
+
+
+@pytest.mark.parametrize("table, bound, message", [
+    (la_table(geometric(0.5), 4), 0, "rank bound must be >= 1"),
+    (StringFunctionTable(("x",), 4, {("x",) * 4: 1.0}), 2,
+     "Hankel block over the tags of length <= 1 is zero"),
+    (la_table(random_la(np.random.default_rng(0), 3, 2), 5), 2,
+     "Hankel rank 3 exceeds the stated bound 2"),
+    (la_table(random_la(np.random.default_rng(0), 3, 2), 3), 3,
+     "table too shallow for the per-letter shift matrices"),
+], ids=["bound-0", "zero-block", "rank-over-bound", "too-shallow"])
+def test_hankel_basis_rejections(table, bound, message):
+    with pytest.raises(ValueError, match=message):
+        hankel_basis(table, bound)
 
 
 def test_realize_geometric():
@@ -496,7 +517,7 @@ def test_laf_from_level_dfas():
 
 def test_la_equivalent():
     l = geometric(0.5)
-    doubled = la_combine("sum", la_unary("scale", l, a=0.5), la_unary("scale", l, a=0.5))
+    doubled = la_sum(la_scale(0.5, l), la_scale(0.5, l))
     assert la_equivalent(l, doubled)
     assert not la_equivalent(l, geometric(0.4))
 
@@ -507,5 +528,5 @@ def test_la_equivalent_is_scale_free(c):
     # absolute product (|xi1| + |xi2|) . |c|, so both sides of the test scale with c
     for seed in range(20):
         l = random_la(np.random.default_rng(seed), 4, 2)
-        assert not la_equivalent(la_unary("scale", l, a=c), la_unary("scale", l, a=2.0 * c))
-        assert la_equivalent(la_unary("scale", l, a=c), la_unary("scale", l, a=c))
+        assert not la_equivalent(la_scale(c, l), la_scale(2.0 * c, l))
+        assert la_equivalent(la_scale(c, l), la_scale(c, l))

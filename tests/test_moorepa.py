@@ -128,6 +128,13 @@ def test_remove_convex_state_avg_rejects_a_wrong_certificate():
         remove_convex_state_avg(a, s, coeffs[:1])
 
 
+def test_remove_convex_state_avg_rejects_an_affine_certificate():
+    # basis row 2 of the identity automaton with lam = (0, 1, 2) is -(row 0) + 2 (row 1)
+    a = MoorePA(("a",), {"a": np.eye(3)}, np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="certificate"):
+        remove_convex_state_avg(a.validate(), 2, np.array([-1.0, 2.0]))
+
+
 def test_reduce_avg_minimal_unchanged(cantor):
     assert reduce_avg(cantor).n_states == 2
 

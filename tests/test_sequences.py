@@ -144,6 +144,27 @@ def test_negative_mass_is_rejected(table):
         table.validate()
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("table, message", [
+    (RandomSequence(("p", "q"), 1, {(): NAN, ("p",): NAN, ("q",): NAN}),
+     "mass at the empty word is not 1"),
+    (RandomSequence(("p", "q"), 1, {(): 1.0, ("p",): NAN, ("q",): 0.5}),
+     r"mass is not conserved below \(\)"),
+    (PairedSequence(("a",), ("p", "q"), 1,
+                    {((), ()): NAN, (("a",), ("p",)): NAN, (("a",), ("q",)): NAN}),
+     "mass at the empty pair is not 1"),
+    (PairedSequence(("a",), ("p", "q"), 1,
+                    {((), ()): 1.0, (("a",), ("p",)): NAN, (("a",), ("q",)): 0.5}),
+     r"mass is not conserved below \(\(\), \(\)\)"),
+], ids=["random-all", "random-child", "paired-all", "paired-child"])
+def test_nan_mass_is_rejected(table, message):
+    # every test of the law accepts on value <= bound, which NaN fails
+    with pytest.raises(ValueError, match=message):
+        table.validate()
+
+
 def test_pair_from_rabin_style(fair_coin):
     a = GeneralPA(
         inputs=("a", "b"),
