@@ -159,7 +159,7 @@ def residual(f: ReactionTable, u: Word, v: Word, tol: Tolerances = DEFAULT) -> R
 def tables_agree(f: ReactionTable, g: ReactionTable, tol: Tolerances = DEFAULT) -> bool:
     """Compare two tables over one alphabet on their overlapping depth."""
     depth = min(f.depth, g.depth)
-    return not np.any(np.abs(f.values.upto(depth) - g.values.upto(depth)) > tol.zero * 100.0)
+    return bool(np.all(np.abs(f.values.upto(depth) - g.values.upto(depth)) <= tol.zero * 100.0))
 
 
 def residual_automaton(f: ReactionTable, tol: Tolerances = DEFAULT) -> GeneralPA | None:

@@ -68,7 +68,7 @@ def binarize_output(a: MoorePA) -> MoorePA:
     every word, the empty one included.
     """
     lam = a.lam
-    if lam.min() < 0.0 or lam.max() > 1.0:
+    if not np.all((lam >= 0.0) & (lam <= 1.0)):
         raise ValueError("output column must lie in [0, 1]")
     # copy 2j + c of state j is entered with weight lam_j (c = 0) or 1 - lam_j (c = 1)
     split = np.stack([lam, 1.0 - lam], axis=1).ravel()
@@ -293,7 +293,8 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
     (1-2c)^(k-1) < 2 delta / (n |lam|); for merely ergodic automata k is
     the first length whose word matrices all have spread below that
     threshold, scanned one block of word matrices at a time.  Returns None
-    when neither hypothesis holds.  Suffix determination is re-validated
+    when neither hypothesis holds, and raises ValueError when the suffix
+    table would exceed TABLE_LIMIT words.  Suffix determination is re-validated
     level by level on all words with k <= |u| <= k+2.
     """
     _check_cut(cutpoint, delta=delta)
@@ -313,13 +314,10 @@ def definite_rep(a: MoorePA, cutpoint: float, delta: float,
         if not ergodic:
             return None
         k = 1
-        while True:
-            if all(_spreads(block).max() < threshold
-                   for block in kernel.word_matrix_blocks(a._letters, k)):
-                break
+        while len(a.inputs) ** k <= TABLE_LIMIT and not all(
+                _spreads(block).max() < threshold
+                for block in kernel.word_matrix_blocks(a._letters, k)):
             k += 1
-            if len(a.inputs) ** k > TABLE_LIMIT:
-                return None
     if len(a.inputs) ** k > TABLE_LIMIT:
         raise ValueError(f"suffix table of size |X|^{k} exceeds the limit")
     table = kernel.ShortlexTable(a.inputs, k + 2,

@@ -4,7 +4,8 @@ Evaluation, the block operation algebra (sum, product, convolution, scaling,
 reversal, iteration), the convolution ring on finite tables with inverse and
 iteration, Hankel-matrix minimal realization, reachability/distinguishability
 degrees, state elimination to rational expressions, and the embeddings into
-probabilistic automata.  There is one embedding, the affine one; a cut
+probabilistic automata.  An expression is a DAG of one node type, `Expr`,
+evaluated once per shared node.  There is one embedding, the affine one; a cut
 language is embedded as the affine image of the automaton shifted by the
 cut, pinned at the empty word and normalised, all three by the algebra
 above (Turakainen, Proc. AMS 21, 1969), so its languages do not change when
@@ -14,6 +15,8 @@ and the block sum run in `kernel`, with lam as the final column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,64 +314,33 @@ def realize(f, rank_bound: int | None = None, tol: Tolerances = DEFAULT) -> Line
 
 # --- rational expressions --------------------------------------------------------
 
-class Expr:
-    """Base of the rational-expression tree."""
+class Expr(NamedTuple):
+    """A rational-expression node; elimination shares nodes, so expressions are DAGs.
 
-    __slots__ = ()
+    `op` is the printed head: the leaves "chi-eps" and "chi" (args: the
+    symbol), "scale" (coefficient, body), "+" and "conv" (terms), "iter+" (body).
+    """
 
-
-@dataclass(frozen=True)
-class ChiEps(Expr):
-    pass
-
-
-@dataclass(frozen=True)
-class ChiSym(Expr):
-    symbol: str
+    op: str
+    args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Scale(Expr):
-    coeff: float
-    body: "Expr"
-
-
-@dataclass(frozen=True)
-class Sum(Expr):
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Conv(Expr):
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class Iter(Expr):
-    body: "Expr"
-
-
-EXPR_ZERO = Scale(0.0, ChiEps())
+CHI_EPS = Expr("chi-eps")
+EXPR_ZERO = Expr("scale", (0.0, CHI_EPS))
 
 
 def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Scale) and e.coeff == 0.0
+    return e.op == "scale" and e.args[0] == 0.0
 
 
 def ex_sum(*terms: Expr) -> Expr:
     flat = []
     for e in terms:
-        if _is_zero(e):
-            continue
-        if isinstance(e, Sum):
-            flat.extend(e.terms)
-        else:
-            flat.append(e)
+        if not _is_zero(e):
+            flat.extend(e.args if e.op == "+" else (e,))
     if not flat:
         return EXPR_ZERO
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(tuple(flat))
+    return flat[0] if len(flat) == 1 else Expr("+", tuple(flat))
 
 
 def ex_conv(*factors: Expr) -> Expr:
@@ -376,17 +348,11 @@ def ex_conv(*factors: Expr) -> Expr:
     for e in factors:
         if _is_zero(e):
             return EXPR_ZERO
-        if isinstance(e, ChiEps):
-            continue
-        if isinstance(e, Conv):
-            flat.extend(e.factors)
-        else:
-            flat.append(e)
+        if e.op != "chi-eps":
+            flat.extend(e.args if e.op == "conv" else (e,))
     if not flat:
-        return ChiEps()
-    if len(flat) == 1:
-        return flat[0]
-    return Conv(tuple(flat))
+        return CHI_EPS
+    return flat[0] if len(flat) == 1 else Expr("conv", tuple(flat))
 
 
 def ex_scale(a: float, e: Expr) -> Expr:
@@ -394,65 +360,58 @@ def ex_scale(a: float, e: Expr) -> Expr:
         return EXPR_ZERO
     if a == 1.0:
         return e
-    if isinstance(e, Scale):
-        return Scale(a * e.coeff, e.body)
-    return Scale(a, e)
+    if e.op == "scale":
+        return Expr("scale", (a * e.args[0], e.args[1]))
+    return Expr("scale", (a, e))
 
 
 def ex_closure(e: Expr) -> Expr:
     """chi_eps + e+, the Kleene-star shape used by elimination."""
-    if _is_zero(e):
-        return ChiEps()
-    return ex_sum(ChiEps(), Iter(e))
+    return CHI_EPS if _is_zero(e) else ex_sum(CHI_EPS, Expr("iter+", (e,)))
 
 
-def eval_expr(e: Expr, alphabet, depth: int, tol: Tolerances = DEFAULT,
-              _memo: dict | None = None) -> StringFunctionTable:
-    """Interpret an expression over the table ring."""
+def eval_expr(e: Expr, alphabet, depth: int, tol: Tolerances = DEFAULT) -> StringFunctionTable:
+    """Interpret an expression over the table ring, each shared node once."""
     alphabet = tuple(alphabet)
-    memo = {} if _memo is None else _memo
-    hit = memo.get(e)
-    if hit is not None:
-        return hit
-    if isinstance(e, ChiEps):
-        out = chi_eps(alphabet, depth)
-    elif isinstance(e, ChiSym):
-        out = chi_word(alphabet, (e.symbol,), depth)
-    elif isinstance(e, Scale):
-        out = eval_expr(e.body, alphabet, depth, tol, memo).scale(e.coeff)
-    elif isinstance(e, Sum):
-        out = chi_eps(alphabet, depth).scale(0.0)
-        for term in e.terms:
-            out = out.add(eval_expr(term, alphabet, depth, tol, memo))
-    elif isinstance(e, Conv):
-        out = chi_eps(alphabet, depth)
-        for factor in e.factors:
-            out = out.convolve(eval_expr(factor, alphabet, depth, tol, memo))
-    elif isinstance(e, Iter):
-        body = eval_expr(e.body, alphabet, depth, tol, memo)
-        if abs(body.value(())) > tol.zero:
-            raise ValueError("iteration applied to an expression with f(eps) != 0")
-        out = body.iterate(tol)
-    else:
-        raise TypeError(f"unknown expression node {e!r}")
-    memo[e] = out
-    return out
+    eps, memo = chi_eps(alphabet, depth), {}
+
+    def ev(e: Expr) -> StringFunctionTable:
+        out = memo.get(id(e))
+        if out is not None:
+            return out
+        op, args = e
+        if op == "chi-eps":
+            out = eps
+        elif op == "chi":
+            out = chi_word(alphabet, args, depth)
+        elif op == "scale":
+            out = ev(args[1]).scale(args[0])
+        elif op == "+":
+            out = reduce(StringFunctionTable.add, map(ev, args), eps.scale(0.0))
+        elif op == "conv":
+            out = reduce(StringFunctionTable.convolve, map(ev, args), eps)
+        elif op == "iter+":
+            out = ev(args[0])
+            if abs(out.value(())) > tol.zero:
+                raise ValueError("iteration applied to an expression with f(eps) != 0")
+            out = out.iterate(tol)
+        else:
+            raise ValueError(f"unknown expression node {op!r}")
+        memo[id(e)] = out
+        return out
+
+    return ev(e)
 
 
 def to_sexpr(e: Expr) -> str:
-    if isinstance(e, ChiEps):
-        return "chi-eps"
-    if isinstance(e, ChiSym):
-        return f"(chi {e.symbol})"
-    if isinstance(e, Scale):
-        return f"(scale {format(e.coeff, '.12g')} {to_sexpr(e.body)})"
-    if isinstance(e, Sum):
-        return "(+ " + " ".join(to_sexpr(x) for x in e.terms) + ")"
-    if isinstance(e, Conv):
-        return "(conv " + " ".join(to_sexpr(x) for x in e.factors) + ")"
-    if isinstance(e, Iter):
-        return f"(iter+ {to_sexpr(e.body)})"
-    raise TypeError(f"unknown expression node {e!r}")
+    op, args = e
+    if op == "chi-eps":
+        return op
+    if op == "chi":
+        return f"(chi {args[0]})"
+    if op == "scale":
+        return f"(scale {format(args[0], '.12g')} {to_sexpr(args[1])})"
+    return f"({op} " + " ".join(map(to_sexpr, args)) + ")"
 
 
 def _solve_linear_system(a: list[list[Expr]], c: list[Expr]) -> list[Expr]:
@@ -488,15 +447,12 @@ def la_to_rational_expr(l: LinearAutomaton) -> Expr:
     Builds the letter matrix A with entries sum_x L^x_ij . chi_x, solves
     (E_eps - A) B = lam . chi_eps, and returns sum_i xi_i . B_i.
     """
-    n = l.dim
+    n, chi = l.dim, [Expr("chi", (x,)) for x in l.inputs]
     a = [
-        [
-            ex_sum(*[ex_scale(float(l.matrix(x)[i, j]), ChiSym(x)) for x in l.inputs])
-            for j in range(n)
-        ]
+        [ex_sum(*[ex_scale(float(m[i, j]), c) for m, c in zip(l._letters, chi)]) for j in range(n)]
         for i in range(n)
     ]
-    c = [ex_scale(float(l.lam[i]), ChiEps()) for i in range(n)]
+    c = [ex_scale(float(l.lam[i]), CHI_EPS) for i in range(n)]
     b = _solve_linear_system(a, c)
     return ex_sum(*[ex_scale(float(l.initial[i]), b[i]) for i in range(n)])
 

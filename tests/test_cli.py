@@ -354,12 +354,21 @@ def test_ergodic_and_stable(capsys, tmp_path):
     assert out == "definite k=12 suffix-classes=1 accepting=1\n"
 
 
-def test_definite_reports_errors_with_exit_2(capsys, monkeypatch):
+def test_definite_reports_errors_with_exit_2(capsys, monkeypatch, tmp_path):
     # both letters mix so slowly that the suffix length k is 150, far over the table limit
     code, out, err = run(capsys, "definite", str(DATA / "slow_mixing.json"),
                          "--cutpoint", "0.5", "--delta", "0.05")
     assert (code, out) == (2, "")
     assert err == "error: suffix table of size |X|^150 exceeds the limit\n"
+
+    # an ergodic automaton with zero entries meets the same limit in its own scan
+    ergodic = tmp_path / "ergodic.json"
+    m = [[0.0, 1.0], [0.99, 0.01]]
+    pio.save(MoorePA(("a", "b"), {"a": np.array(m), "b": np.array(m)},
+                     np.array([1.0, 0.0]), np.array([0.0, 1.0])), str(ergodic))
+    code, out, err = run(capsys, "definite", str(ergodic), "--cutpoint", "0.5", "--delta", "0.05")
+    assert (code, out) == (2, "")
+    assert err == "error: suffix table of size |X|^17 exceeds the limit\n"
 
     def not_determined(*args, **kwargs):
         raise AssertionError("suffix determination failed at ('0',)")

@@ -22,6 +22,7 @@ from probautomata import (
     residual_automaton,
     word_matrix,
 )
+from probautomata.generalpa import tables_agree
 
 from gen import random_general_pa
 from oracles import enumerate_words
@@ -356,6 +357,14 @@ def test_a_cone_validates_as_its_automaton(one_state):
         ConeSpec((f,), (0.5, 0.5), {k: np.full((2, 2), m[0, 0] / 2) for k, m in shifts.items()}).validate()
     with pytest.raises(ValueError, match="initial distribution"):
         ConeSpec((f,), (0.9,), shifts).validate()
+
+
+def test_tables_agree_refuses_nan():
+    f = ReactionTable(("x",), ("y",), 1, {((), ()): 1.0, (("x",), ("y",)): 1.0})
+    g = ReactionTable(("x",), ("y",), 1, {((), ()): float("nan"), (("x",), ("y",)): float("nan")})
+    assert tables_agree(f, f)
+    assert not tables_agree(f, g)
+    assert not tables_agree(g, g)
 
 
 def test_is_probabilistic_response(rabin):

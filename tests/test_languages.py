@@ -119,6 +119,12 @@ def test_binarize_output_rejects_out_of_range():
         binarize_output(a)
 
 
+def test_binarize_output_rejects_a_nan_output():
+    a = MoorePA(("a",), {"a": np.eye(2)}, np.array([1.0, 0.0]), np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match="must lie in"):
+        binarize_output(a)
+
+
 def test_shift_cutpoint_down():
     one = MoorePA(("x",), {"x": np.array([[1.0]])}, np.array([1.0]), np.array([1.0]))
     b = shift_cutpoint(one, 0.5, 0.25)
@@ -401,6 +407,16 @@ def test_definite_rep_ergodic_with_zero_entry():
     assert any(rep.suffix_table.values()) and not all(rep.suffix_table.values())
     for u in enumerate_words(a.inputs, rep.k + 3):
         assert rep.member(u) == member(a, 0.4, u)
+
+
+def test_definite_rep_reports_an_over_limit_ergodic_table_as_an_error():
+    # the zero entries rule out the positive branch; the ergodic scan meets the
+    # table limit before any word matrix spreads less than the threshold
+    m = np.array([[0.0, 1.0], [0.99, 0.01]])
+    a = MoorePA(("a", "b"), {"a": m, "b": m}, np.array([1.0, 0.0]), np.array([0.0, 1.0])).validate()
+    assert ergodic_test(a) == (True, None)
+    with pytest.raises(ValueError, match=re.escape("suffix table of size |X|^17 exceeds the limit")):
+        definite_rep(a, 0.5, 0.05)
 
 
 def test_definite_rep_trivial_constant():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,12 +409,47 @@ def test_rational_expr_random(seed):
 
 
 def test_eval_expr_sum_node():
-    from probautomata.linauto import ChiEps, ChiSym, Sum
+    from probautomata.linauto import Expr
 
-    table = eval_expr(Sum((ChiEps(), ChiSym("x"))), ("x",), 3)
+    table = eval_expr(Expr("+", (Expr("chi-eps"), Expr("chi", ("x",)))), ("x",), 3)
     assert table.value(()) == 1.0
     assert table.value(("x",)) == 1.0
     assert table.value(("x", "x")) == 0.0
+
+
+TWO_STATE_DYADIC = LinearAutomaton(
+    ("x", "y"),
+    {"x": np.array([[0.5, 1.0], [0.0, 0.0]]), "y": np.array([[0.0, 0.0], [-0.25, 0.25]])},
+    np.array([1.0, 0.0]),
+    np.array([0.0, 1.0]),
+)
+
+
+@pytest.mark.parametrize("l, sexpr", [
+    (la_chi_symbol(("x", "y"), "x"), "(chi x)"),
+    (geometric(0.5), "(+ chi-eps (iter+ (scale 0.5 (chi x))))"),
+    (TWO_STATE_DYADIC,
+     "(conv (+ chi-eps (iter+ (+ (scale 0.5 (chi x)) (conv (chi x) (+ chi-eps (iter+ "
+     "(scale 0.25 (chi y)))) (scale -0.25 (chi y)))))) (chi x) (+ chi-eps (iter+ "
+     "(scale 0.25 (chi y)))))"),
+], ids=["chi-symbol", "geometric", "two-state"])
+def test_rational_expr_strings(l, sexpr):
+    expr = la_to_rational_expr(l)
+    assert to_sexpr(expr) == sexpr
+    # dyadic weights: every value is exact, in the expression as in the automaton
+    assert eval_expr(expr, l.inputs, 4).values.array.tolist() == la_table(l, 4).values.array.tolist()
+
+
+def test_eval_expr_evaluates_each_shared_node_once():
+    # elimination reuses nodes, so the tree under the root of a 7-state
+    # expression is thousands of times larger than its DAG
+    l = random_la(np.random.default_rng(0), 7, 2)
+    expr = la_to_rational_expr(l)
+    start = time.perf_counter()
+    table = eval_expr(expr, l.inputs, 4)
+    assert time.perf_counter() - start < 1.0
+    for u in enumerate_words(l.inputs, 4):
+        assert table.value(u) == pytest.approx(la_reaction(l, u), abs=1e-9)
 
 
 # --- embeddings -------------------------------------------------------------------
