@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 property refuted (not equivalent, not a member,
 isolation refuted, ...), 2 malformed input or validation failure.  Numeric
 output is printed with 12 significant digits.
+
+The commands are one table, `COMMANDS`.  Each call builds, from it, the parser
+of the invoked command only (one subparser, and one nested one for `la`,
+`lang`, `mc` and `rs`); help before the command and a missing or unknown
+command get the full parser, so help and errors read as the full parser's.
 """
 from __future__ import annotations
 
@@ -281,7 +286,74 @@ def cmd_rs_transform(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def arg(*flags, **options):
+    """One `add_argument` call of the command table."""
+    return flags, options
+
+
+FILE, INPUT = arg("file"), arg("--input", required=True)
+OUTPUT = arg("-o", "--output", required=True)
+CUTPOINT = arg("--cutpoint", type=float, required=True)
+DELTA = arg("--delta", type=float, required=True)
+
+# name -> (help or None, handler, arguments...), or (help, nested table), whose
+# command name is parsed into `<name>_command`.
+COMMANDS = {
+    "validate": ("check a JSON automaton file", cmd_validate, FILE),
+    "react": ("evaluate a reaction", cmd_react, FILE, INPUT, arg("--output", default=None)),
+    "reduce": ("equivalent automaton with fewer states", cmd_reduce, FILE, OUTPUT),
+    "equiv": ("decide equality of reactions", cmd_equiv, arg("a"), arg("b")),
+    "lang": ("cut-point languages", {
+        "member": (None, cmd_lang_member, FILE, CUTPOINT, INPUT),
+        "enum": (None, cmd_lang_enum, FILE, CUTPOINT, arg("--max-len", type=int, default=4)),
+        "shift": (None, cmd_lang_shift, FILE,
+                  arg("--from", dest="src_cut", type=float, required=True),
+                  arg("--to", dest="dst_cut", type=float, required=True), OUTPUT),
+    }),
+    "isolate": ("bounded isolation scan", cmd_isolate, FILE, CUTPOINT, DELTA,
+                arg("--max-len", type=int, required=True)),
+    "extract-dfa": ("regular language under isolation", cmd_extract_dfa, FILE, CUTPOINT, DELTA,
+                    arg("--dot", default=None), arg("-o", "--output", default=None)),
+    "ergodic": ("ergodicity criterion", cmd_ergodic, FILE),
+    "stable": ("stability of isolated cut points", cmd_stable, FILE),
+    "definite": ("suffix-determined representation", cmd_definite, FILE, CUTPOINT, DELTA),
+    "la": ("linear automata", {
+        "op": (None, cmd_la_op, arg("op", choices=[*LA_BINARY, *LA_UNARY]), arg("a"),
+               arg("b", nargs="?", default=None), arg("--scalar", type=float, default=None),
+               OUTPUT),
+        "realize": (None, cmd_la_realize, FILE, OUTPUT),
+        "rank": (None, cmd_la_rank, FILE),
+        "expr": (None, cmd_la_expr, FILE),
+        "embed-pa": (None, cmd_la_embed_pa, FILE, OUTPUT),
+        "lang-pa": (None, cmd_la_lang_pa, FILE, CUTPOINT, OUTPUT),
+    }),
+    "mc": ("Markov chains", {"eval": (None, cmd_mc_eval, FILE, INPUT)}),
+    "rs": ("random sequences", {
+        "transform": (None, cmd_rs_transform, arg("seq"), arg("pa"), OUTPUT),
+    }),
+}
+
+
+def _add_commands(parser, table, dest, path) -> None:
+    """Add the commands of `table` to `parser`: only `path[0]` when the path names one.
+
+    A partial level shows the full choice string as its metavar, so that its usage
+    and error lines read as the full parser's."""
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{%s}" % ",".join(table) if path else None)
+    for name in path[:1] or table:
+        text, run, *args = table[name]
+        p = sub.add_parser(name, **({} if text is None else {"help": text}))
+        if isinstance(run, dict):
+            _add_commands(p, run, f"{name}_command", path[1:])
+            continue
+        for flags, options in args:
+            p.add_argument(*flags, **options)
+        p.set_defaults(func=run)
+
+
+def build_parser(path=()) -> argparse.ArgumentParser:
+    """The parser of `COMMANDS`; a `path` of command names builds only their parsers."""
     parser = argparse.ArgumentParser(
         prog="probautomata",
         description="Probabilistic, weighted and cut-point automata toolkit",
@@ -290,130 +362,33 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance", type=float, default=None, metavar="EPS",
         help="override every numeric tolerance with EPS, 0 < EPS < 0.1",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a JSON automaton file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("react", help="evaluate a reaction")
-    p.add_argument("file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_react)
-
-    p = sub.add_parser("reduce", help="equivalent automaton with fewer states")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("equiv", help="decide equality of reactions")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_equiv)
-
-    lang = sub.add_parser("lang", help="cut-point languages").add_subparsers(
-        dest="lang_command", required=True
-    )
-    p = lang.add_parser("member")
-    p.add_argument("file")
-    p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_lang_member)
-    p = lang.add_parser("enum")
-    p.add_argument("file")
-    p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--max-len", type=int, default=4)
-    p.set_defaults(func=cmd_lang_enum)
-    p = lang.add_parser("shift")
-    p.add_argument("file")
-    p.add_argument("--from", dest="src_cut", type=float, required=True)
-    p.add_argument("--to", dest="dst_cut", type=float, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_lang_shift)
-
-    p = sub.add_parser("isolate", help="bounded isolation scan")
-    p.add_argument("file")
-    p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(func=cmd_isolate)
-
-    p = sub.add_parser("extract-dfa", help="regular language under isolation")
-    p.add_argument("file")
-    p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--dot", default=None)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_extract_dfa)
-
-    p = sub.add_parser("ergodic", help="ergodicity criterion")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_ergodic)
-
-    p = sub.add_parser("stable", help="stability of isolated cut points")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_stable)
-
-    p = sub.add_parser("definite", help="suffix-determined representation")
-    p.add_argument("file")
-    p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.set_defaults(func=cmd_definite)
-
-    la = sub.add_parser("la", help="linear automata").add_subparsers(
-        dest="la_command", required=True
-    )
-    p = la.add_parser("op")
-    p.add_argument("op", choices=[*LA_BINARY, *LA_UNARY])
-    p.add_argument("a")
-    p.add_argument("b", nargs="?", default=None)
-    p.add_argument("--scalar", type=float, default=None)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_la_op)
-    p = la.add_parser("realize")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_la_realize)
-    p = la.add_parser("rank")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_la_rank)
-    p = la.add_parser("expr")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_la_expr)
-    p = la.add_parser("embed-pa")
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_la_embed_pa)
-    p = la.add_parser("lang-pa")
-    p.add_argument("file")
-    p.add_argument("--cutpoint", type=float, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_la_lang_pa)
-
-    mc = sub.add_parser("mc", help="Markov chains").add_subparsers(
-        dest="mc_command", required=True
-    )
-    p = mc.add_parser("eval")
-    p.add_argument("file")
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_mc_eval)
-
-    rs = sub.add_parser("rs", help="random sequences").add_subparsers(
-        dest="rs_command", required=True
-    )
-    p = rs.add_parser("transform")
-    p.add_argument("seq")
-    p.add_argument("pa")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=cmd_rs_transform)
-
+    _add_commands(parser, COMMANDS, "command", path)
     return parser
+
+
+def _invoked(argv) -> tuple[str, ...]:
+    """The command names `argv` invokes, as far as the table knows them.
+
+    Help or another option before the command, and a missing or unknown command,
+    give (): only the full parser answers those as argparse does."""
+    rest = list(argv)
+    while rest and rest[0].startswith("-"):
+        flag, eq, _ = rest.pop(0).partition("=")
+        if len(flag) < 3 or not "--tolerance".startswith(flag):
+            return ()
+        if not eq and rest:
+            rest.pop(0)  # the value, whatever it looks like
+    path, table = (), COMMANDS
+    while rest and isinstance(table, dict) and rest[0] in table:
+        path += (rest[0],)
+        table = table[rest.pop(0)][1]
+    return path
 
 
 def main(argv=None) -> int:
     """Run one command; a `ValueError` or a file it cannot open is one `error:` line and exit 2."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_invoked(argv)).parse_args(argv)
     eps = args.tolerance
     try:
         if eps is not None and not 0 < eps < math.inf:  # NaN fails both comparisons

@@ -392,7 +392,7 @@ def eval_expr(e: Expr, alphabet, depth: int, tol: Tolerances = DEFAULT) -> Strin
             out = reduce(StringFunctionTable.convolve, map(ev, args), eps)
         elif op == "iter+":
             out = ev(args[0])
-            if abs(out.value(())) > tol.zero:
+            if not abs(out.value(())) <= tol.zero:  # NaN fails the comparison too
                 raise ValueError("iteration applied to an expression with f(eps) != 0")
             out = out.iterate(tol)
         else:

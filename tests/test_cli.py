@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -452,3 +453,129 @@ def test_determinism(capsys, tmp_path):
     assert first == second
     runs = [run(capsys, "react", CANTOR, "--input", "2202") for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+# --- the parser main builds: only the invoked command's ------------------------------
+
+
+def _leaves(table=cli.COMMANDS, prefix=()):
+    """(command names, argument specs) of every command the table runs."""
+    for name, (_, run, *args) in table.items():
+        if isinstance(run, dict):
+            yield from _leaves(run, (*prefix, name))
+        else:
+            yield (*prefix, name), args
+
+
+def _value(options):
+    if "choices" in options:
+        return options["choices"][0]
+    return {float: "0.5", int: "3"}.get(options.get("type"), "w.json")
+
+
+def _parity_corpus():
+    corpus = [
+        [], ["bogus"], ["bogus", "-h"], ["-h"], ["--help"], ["--he"], ["-x", "validate", "f"],
+        ["--", "validate", "f"], ["-"], ["--tolerance"], ["--tolerance", "0.01"],
+        ["--tolerance", "0.01", "-h"], ["--tolerance", "-h", "validate", "f"],
+        ["--tolerance", "abc", "validate", "f"], ["--tolerance=abc", "validate", "f"],
+        ["--tol", "abc", "validate", "f"], ["--tolerance", "validate", "f"],
+        ["--tolerance", "-0.5", "validate", "f"], ["--tolerance", "0.01", "--tol=0.02", "stable", "f"],
+        ["validate", "f", "--tolerance", "0.01"], ["validate", "f", "extra"],
+        ["la", "op", "bogus", "a", "-o", "o"],
+    ]
+    for nested in (name for name, entry in cli.COMMANDS.items() if isinstance(entry[1], dict)):
+        corpus += [[nested], [nested, "bogus"], [nested, "-h"], [nested, "--x", "y"]]
+    for path, args in _leaves():
+        valid, options_given = [*path], []
+        for flags, options in args:
+            if not flags[0].startswith("-"):
+                if options.get("nargs") != "?":
+                    valid.append(_value(options))
+            elif options.get("required"):
+                options_given.append([flags[-1], _value(options)])
+        valid += [token for pair in options_given for token in pair]
+        corpus += [valid, [*path], [*path, "-h"], ["-h", *path]]
+        for form in (["--tolerance", "0.01"], ["--tolerance=0.01"], ["--tol", "0.01"]):
+            corpus.append([*form, *valid])
+        if options_given:
+            corpus.append(valid[:-2])  # the last required option left out
+        corpus += [[*valid, flags[-1], "abc"] for flags, options in args
+                   if options.get("type") in (float, int)]
+    return corpus
+
+
+class _Parsed(Exception):
+    """Stops `main` once it has parsed its arguments; carries the namespace."""
+
+
+def _outcome(parse, argv, capsys):
+    """vars() of the namespace, or the exit code; with the text printed."""
+    try:
+        result = ("namespace", vars(parse(argv)))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def test_main_parses_as_the_full_parser(monkeypatch, capsys):
+    build = cli.build_parser
+
+    def stop_after_parsing(*path):
+        parser = build(*path)
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            raise _Parsed(parse(argv))
+
+        parser.parse_args = parse_args
+        return parser
+
+    def via_main(argv):
+        try:
+            cli.main(argv)
+        except _Parsed as parsed:
+            return parsed.args[0]
+
+    monkeypatch.setattr(cli, "build_parser", stop_after_parsing)
+    kinds = set()
+    for argv in _parity_corpus():
+        full = _outcome(lambda a: build().parse_args(a), argv, capsys)
+        assert _outcome(via_main, argv, capsys) == full, argv
+        kinds.add(full[0][1] if full[0][0] == "exit" else "namespace")
+    assert kinds == {"namespace", 0, 2}  # parsed calls, help and usage errors
+
+
+def test_a_bad_tolerance_before_the_command_shows_the_full_usage(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--tolerance", "abc", "validate", CANTOR])
+    err = capsys.readouterr().err
+    assert stop.value.code == 2
+    assert err.startswith("usage: probautomata [-h] [--tolerance EPS]")
+    assert "{validate,react,reduce,equiv,lang,isolate,extract-dfa,ergodic,stable,definite," \
+           "la,mc,rs}" in err
+    assert err.endswith("error: argument --tolerance: invalid float value: 'abc'\n")
+
+
+def test_main_builds_only_the_invoked_parsers(monkeypatch, capsys, tmp_path):
+    geo = LinearAutomaton(("x",), {"x": np.array([[0.5]])}, np.array([1.0]), np.array([1.0]))
+    geo_path = str(tmp_path / "geo.json")
+    pio.save(geo, geo_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(capsys, "react", CANTOR, "--input", "20") == (0, "0.222222222222\n", "")
+    assert len(built) <= 2  # the full parser builds 25
+    built.clear()
+    assert run(capsys, "--tol", "1e-9", "react", CANTOR, "--input", "20")[0] == 0
+    assert len(built) <= 2
+    built.clear()
+    assert run(capsys, "la", "expr", geo_path) == (
+        0, "(+ chi-eps (iter+ (scale 0.5 (chi x))))\n", "")
+    assert len(built) <= 3

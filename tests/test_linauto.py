@@ -440,6 +440,13 @@ def test_rational_expr_strings(l, sexpr):
     assert eval_expr(expr, l.inputs, 4).values.array.tolist() == la_table(l, 4).values.array.tolist()
 
 
+def test_eval_expr_refuses_iterating_a_nan_at_eps():
+    from probautomata.linauto import CHI_EPS, Expr
+
+    with pytest.raises(ValueError, match="iteration"):
+        eval_expr(Expr("iter+", (Expr("scale", (float("nan"), CHI_EPS)),)), ("x",), 2)
+
+
 def test_eval_expr_evaluates_each_shared_node_once():
     # elimination reuses nodes, so the tree under the root of a 7-state
     # expression is thousands of times larger than its DAG
